@@ -29,9 +29,10 @@ use crate::simulate::RunResult;
 /// in L1d while every predictor of the batch consumes them.
 pub const BLOCK_RECORDS: usize = 4096;
 
-/// Drives `predictor` over a packed trace in program order
-/// (predict, then update), exactly like the scalar
-/// [`measure`](crate::simulate::measure) over the source trace.
+/// Drives `predictor` over a packed trace in program order, one
+/// [`Predictor::retire`] per branch, with the same results as the
+/// scalar [`measure`](crate::simulate::measure)'s predict-then-update
+/// loop over the source trace.
 ///
 /// Thin wrapper over [`PackedSession`]: open, feed the whole trace,
 /// finish.
@@ -82,7 +83,7 @@ pub fn measure_packed_with_flushes<P: Predictor + ?Sized>(
 ///
 /// Loop nesting is records outer, predictors inner: each block is
 /// decoded from the bit-packed columns exactly once (not once per
-/// predictor), and because the N predictors' predict→update chains are
+/// predictor), and because the N predictors' retire chains are
 /// mutually independent, the inner loop gives the core N overlapping
 /// dependency chains instead of the scalar loop's single serial one.
 /// (Further tiling the predictor axis to keep a few tables L1-resident

@@ -19,6 +19,12 @@
 //!   history register** that must survive chunk boundaries for results
 //!   to stay bit-identical.
 //!
+//! The packed and batch sessions retire each branch with one
+//! [`Predictor::retire`] call (predict with the record's target, then
+//! train, on a single lookup where the family supports it), which the
+//! trait contract makes equal to the scalar loop's `predict_with_target`
+//! followed by `update`.
+//!
 //! `feed` accepts any chunk of replayed [`PackedRecord`]s — a slice of
 //! a packed trace, a freshly streamed network chunk, a
 //! [`PackedTraceBuilder`](bpred_trace::PackedTraceBuilder) tail — and
@@ -129,13 +135,11 @@ where
         let predictor = self.predictor.borrow_mut();
         for r in chunk {
             self.branches += 1;
-            let predicted = predictor.predict_with_target(r.pc, r.target());
-            let miss = predicted != r.taken;
+            let miss = predictor.retire(r.pc, Some(r.target()), r.taken) != r.taken;
             self.mispredictions += u64::from(miss);
             if let Some(tally) = self.tally.as_mut() {
                 tally.record(r.pc, miss);
             }
-            predictor.update(r.pc, r.taken);
         }
         self.busy += started.elapsed();
     }
@@ -231,13 +235,11 @@ where
             let (pc, target, taken) = (r.pc, r.target(), r.taken);
             for (i, (predictor, missed)) in predictors.iter_mut().zip(&mut self.missed).enumerate()
             {
-                let predicted = predictor.predict_with_target(pc, target);
-                let miss = predicted != taken;
+                let miss = predictor.retire(pc, Some(target), taken) != taken;
                 *missed += u64::from(miss);
                 if let Some(tallies) = self.tallies.as_mut() {
                     tallies[i].record(pc, miss);
                 }
-                predictor.update(pc, taken);
             }
             self.branches += 1;
         }

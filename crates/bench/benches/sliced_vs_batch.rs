@@ -1,10 +1,12 @@
 //! Bit-sliced engine vs the packed batch engine at the lane widths the
 //! sweeps actually use: a lone config (1), a small ladder (8), and a
-//! full plane word (64). Throughput is lanes x records, so the numbers
-//! are directly comparable across engines — the sliced side should
-//! pull ahead with width, since a plane transition retires all lanes
-//! of a word in ~10 branchless ALU ops while the batch loop pays a
-//! data-dependent branch per (lane, record) pair.
+//! full lane group (64). Throughput is lanes x records, so the numbers
+//! are directly comparable across engines. Each sliced lane owns its
+//! own `PlaneTable`, so every (lane, record) pair runs its own
+//! word-wide plane transition with a single live lane: the sliced
+//! side's edge is that branchless transition, two-bit counters and the
+//! one shared history register, not word parallelism, while the batch
+//! loop pays a data-dependent branch per (lane, record) pair.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

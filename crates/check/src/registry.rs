@@ -266,6 +266,14 @@ pub const MODEL_TARGETS: &[ModelTarget] = &[
         pcs: PCS2,
         cap: 25_000,
     },
+    // A target-sensitive stage: the engine check's forward and backward
+    // sites make a cascade that handed its stages the branch target
+    // (they answer `predict(pc)`) diverge from the scalar loop.
+    ModelTarget {
+        spec: "cascade:btfnt;bimodal:s=1",
+        pcs: PCS2,
+        cap: 25_000,
+    },
 ];
 
 /// Paper-scale configurations whose reported cost is audited against the

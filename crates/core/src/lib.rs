@@ -10,8 +10,9 @@
 //! combining predictor).
 //!
 //! All predictors implement the [`Predictor`] trait, are trace-driven
-//! (call [`Predictor::predict`] then [`Predictor::update`] once per
-//! conditional branch in program order), and report their hardware cost in
+//! (call [`Predictor::predict`] then [`Predictor::update`], or the fused
+//! [`Predictor::retire`], once per conditional branch in program
+//! order), and report their hardware cost in
 //! bytes of two-bit counter state exactly as the paper accounts for it.
 //!
 //! # Quick example

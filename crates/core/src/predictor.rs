@@ -24,6 +24,14 @@ pub type CounterId = usize;
 /// internal indices it needs from the *pre-update* state, so no token has
 /// to be carried from `predict` to `update`.
 ///
+/// [`retire`](Self::retire) fuses the two for a caller that wants both:
+/// it returns what `predict_with_target` (or, without a target,
+/// `predict`) returns on the pre-update state and leaves exactly the
+/// state `update` leaves. Families whose `update` would otherwise redo
+/// the prediction's lookup override it to look up once, and their
+/// `update` is `retire` with the answer dropped. The engine sessions
+/// drive every branch through `retire`.
+///
 /// Implementations are deterministic: the same branch stream always
 /// produces the same predictions.
 ///
@@ -51,6 +59,24 @@ pub trait Predictor: fmt::Debug {
     /// Trains the predictor with the architectural outcome of the branch
     /// at `pc` and advances any history state.
     fn update(&mut self, pc: u64, taken: bool);
+
+    /// Predicts the branch at `pc` and trains on its outcome in one
+    /// step: returns what [`predict_with_target`](Self::predict_with_target)
+    /// with `target`, or [`predict`](Self::predict) when `target` is
+    /// `None`, returns on the pre-update state, and leaves exactly the
+    /// state [`update`](Self::update) leaves.
+    ///
+    /// `None` is the target-less view composites give their
+    /// components. The default makes the two calls; families that can
+    /// share one lookup between them override it.
+    fn retire(&mut self, pc: u64, target: Option<u64>, taken: bool) -> bool {
+        let predicted = match target {
+            Some(target) => self.predict_with_target(pc, target),
+            None => self.predict(pc),
+        };
+        self.update(pc, taken);
+        predicted
+    }
 
     /// Hardware cost in the paper's accounting (see [`crate::cost`]).
     fn cost(&self) -> Cost;
@@ -107,6 +133,10 @@ impl Predictor for Box<dyn Predictor> {
         (**self).update(pc, taken);
     }
 
+    fn retire(&mut self, pc: u64, target: Option<u64>, taken: bool) -> bool {
+        (**self).retire(pc, target, taken)
+    }
+
     fn cost(&self) -> Cost {
         (**self).cost()
     }
@@ -131,7 +161,7 @@ impl Predictor for Box<dyn Predictor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictors::statics::AlwaysTaken;
+    use crate::predictors::statics::{AlwaysTaken, Btfnt};
 
     #[test]
     fn boxed_predictor_delegates() {
@@ -144,5 +174,10 @@ mod tests {
         assert_eq!(boxed.counter_id(0), None);
         assert_eq!(boxed.num_counters(), 0);
         boxed.reset();
+        // `retire` forwards the target, and `None` is the target-less view.
+        let mut boxed: Box<dyn Predictor> = Box::new(Btfnt);
+        assert!(!boxed.retire(0x1000, Some(0x1100), true));
+        assert!(boxed.retire(0x1000, Some(0x0F00), false));
+        assert!(boxed.retire(0x1000, None, false));
     }
 }

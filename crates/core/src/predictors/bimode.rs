@@ -128,7 +128,7 @@ pub struct BiMode {
 }
 
 /// Internal record of the lookups a prediction performs; shared by
-/// `predict` and `update` so both always agree on which counters are
+/// `predict` and `retire` so both always agree on which counters are
 /// involved.
 #[derive(Debug, Clone, Copy)]
 struct Lookup {
@@ -316,6 +316,10 @@ impl Predictor for BiMode {
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
+        self.retire(pc, None, taken);
+    }
+
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
         let l = self.lookup(pc);
 
         // Only the selected direction counter sees the outcome; the other
@@ -333,6 +337,7 @@ impl Predictor for BiMode {
         }
 
         self.history.push(taken);
+        l.prediction
     }
 
     fn cost(&self) -> Cost {

@@ -89,18 +89,25 @@ impl Predictor for Cascade {
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
-        // Stage predictions from the pre-update state: every gate
-        // scores its stage on what that stage would have said.
-        let predictions: Vec<bool> = self.stages.iter().map(|s| s.predict(pc)).collect();
+        self.retire(pc, None, taken);
+    }
+
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
+        let selected = self.selected_stage(pc);
         let gi = Self::gate_index(pc);
-        for (gate, &prediction) in self.gates.iter_mut().zip(&predictions[1..]) {
-            gate.update(gi, prediction == taken);
-        }
         // Every stage trains on every branch, so a stage is warm by
-        // the time its gate starts trusting it.
-        for stage in &mut self.stages {
-            stage.update(pc, taken);
+        // the time its gate starts trusting it. Stages answer without
+        // the target, as `predict` consults them.
+        let mut answer = self.stages[0].retire(pc, None, taken);
+        for (i, (stage, gate)) in self.stages[1..].iter_mut().zip(&mut self.gates).enumerate() {
+            // Each gate scores its stage on the pre-update prediction.
+            let prediction = stage.retire(pc, None, taken);
+            gate.update(gi, prediction == taken);
+            if i + 1 == selected {
+                answer = prediction;
+            }
         }
+        answer
     }
 
     fn cost(&self) -> Cost {

@@ -73,9 +73,10 @@ impl Gskew {
         })
     }
 
-    fn votes(&self, pc: u64) -> [bool; 3] {
-        let idx = self.indices(pc);
-        std::array::from_fn(|b| self.banks[b].predict(idx[b]))
+    /// Each bank's vote at `idx`, and their majority.
+    fn votes(&self, idx: [usize; 3]) -> ([bool; 3], bool) {
+        let v: [bool; 3] = std::array::from_fn(|b| self.banks[b].predict(idx[b]));
+        (v, (u8::from(v[0]) + u8::from(v[1]) + u8::from(v[2])) >= 2)
     }
 }
 
@@ -89,14 +90,16 @@ impl Predictor for Gskew {
     }
 
     fn predict(&self, pc: u64) -> bool {
-        let v = self.votes(pc);
-        (u8::from(v[0]) + u8::from(v[1]) + u8::from(v[2])) >= 2
+        self.votes(self.indices(pc)).1
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
+        self.retire(pc, None, taken);
+    }
+
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
         let idx = self.indices(pc);
-        let votes = self.votes(pc);
-        let majority = self.predict(pc);
+        let (votes, majority) = self.votes(idx);
         let correct = majority == taken;
         for bank in 0..3 {
             let train = match self.update {
@@ -108,6 +111,7 @@ impl Predictor for Gskew {
             }
         }
         self.history.push(taken);
+        majority
     }
 
     fn cost(&self) -> Cost {

@@ -103,6 +103,10 @@ impl Predictor for Perceptron {
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
+        self.retire(pc, None, taken);
+    }
+
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
         let y = self.output(pc);
         let predicted = y >= 0;
         // Train on any misprediction, and on low-margin correct
@@ -121,6 +125,7 @@ impl Predictor for Perceptron {
             }
         }
         self.history.push(taken);
+        predicted
     }
 
     fn cost(&self) -> Cost {

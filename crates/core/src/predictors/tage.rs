@@ -68,19 +68,92 @@ impl TagEntry {
     }
 }
 
+/// Most tagged components a [`Tage`] may have; sizes a lookup's
+/// per-table arrays.
+const MAX_TABLES: usize = 16;
+
+/// A folded history register (Seznec & Michaud's CSR): `fold_xor` of
+/// the newest `len` history bits to `width` bits, kept up to date on
+/// every push so a lookup never re-folds the history.
+#[derive(Debug, Clone, Copy)]
+struct FoldedHistory {
+    value: u64,
+    len: u32,
+    width: u32,
+}
+
+impl FoldedHistory {
+    fn new(len: u32, width: u32) -> Self {
+        Self {
+            value: 0,
+            len,
+            width,
+        }
+    }
+
+    /// Shifts `taken` into the window. `history` is the global register
+    /// before the push: its bit `len - 1` is the one leaving the window,
+    /// and it leaves from fold position `len % width`.
+    fn push(&mut self, history: u64, taken: bool) {
+        let leaving = (history >> (self.len - 1)) & 1;
+        let v = ((self.value << 1) | u64::from(taken)) ^ (leaving << (self.len % self.width));
+        // The old top bit, shifted to position `width`, wraps to bit 0.
+        self.value = low_bits(v ^ (v >> self.width), self.width);
+    }
+}
+
 /// One tagged component: `2^entry_bits` entries consulted with a fixed
-/// slice of the global history.
+/// slice of the global history, which it keeps folded to the widths
+/// its index and tag hashes read.
 #[derive(Debug, Clone)]
 struct TaggedTable {
     entries: Vec<TagEntry>,
     history_len: u32,
+    /// The slice folded to the index width.
+    index_fold: FoldedHistory,
+    /// The slice folded to the tag width (CSR1 of `tag_of`).
+    tag_fold: FoldedHistory,
+    /// The slice folded to one bit less (CSR2); a 1-bit tag has none.
+    tag_fold2: Option<FoldedHistory>,
+}
+
+impl TaggedTable {
+    fn new(history_len: u32, entry_bits: u32, tag_bits: u32) -> Self {
+        Self {
+            entries: vec![TagEntry::empty(); 1usize << entry_bits],
+            history_len,
+            index_fold: FoldedHistory::new(history_len, entry_bits),
+            tag_fold: FoldedHistory::new(history_len, tag_bits),
+            tag_fold2: (tag_bits > 1).then(|| FoldedHistory::new(history_len, tag_bits - 1)),
+        }
+    }
+
+    /// Shifts `taken` into every fold; `history` is the global register
+    /// before the push.
+    fn push(&mut self, history: u64, taken: bool) {
+        self.index_fold.push(history, taken);
+        self.tag_fold.push(history, taken);
+        if let Some(fold) = &mut self.tag_fold2 {
+            fold.push(history, taken);
+        }
+    }
+
+    /// Empties every entry and clears the folds with the history.
+    fn reset(&mut self) {
+        self.entries.fill(TagEntry::empty());
+        self.index_fold.value = 0;
+        self.tag_fold.value = 0;
+        if let Some(fold) = &mut self.tag_fold2 {
+            fold.value = 0;
+        }
+    }
 }
 
 /// What one prediction consulted: per-table indices and tags, the
 /// provider (longest-history tag match) and its alternate.
 struct Lookup {
-    indices: Vec<usize>,
-    tags: Vec<u16>,
+    indices: [usize; MAX_TABLES],
+    tags: [u16; MAX_TABLES],
     provider: Option<usize>,
     alt: Option<usize>,
     base_index: usize,
@@ -113,8 +186,8 @@ impl Tage {
     #[must_use]
     pub fn new(tables: u32, max_history: u32, tag_bits: u32, entry_bits: u32) -> Self {
         assert!(
-            (1..=16).contains(&tables),
-            "tage wants 1..=16 tagged tables, got {tables}"
+            (1..=MAX_TABLES).contains(&(tables as usize)),
+            "tage wants 1..={MAX_TABLES} tagged tables, got {tables}"
         );
         assert!(
             (1..=20).contains(&entry_bits),
@@ -128,9 +201,9 @@ impl Tage {
             (1..=MAX_HISTORY_BITS).contains(&max_history),
             "tage history must be 1..=63 bits, got {max_history}"
         );
-        let component = |i: u32| TaggedTable {
-            entries: vec![TagEntry::empty(); 1usize << entry_bits],
-            history_len: (max_history >> (tables - 1 - i)).max(1),
+        let component = |i: u32| {
+            let history_len = (max_history >> (tables - 1 - i)).max(1);
+            TaggedTable::new(history_len, entry_bits, tag_bits)
         };
         Self {
             base: CounterTable::new(entry_bits, Counter2::WEAKLY_TAKEN),
@@ -150,12 +223,9 @@ impl Tage {
     }
 
     fn index_of(&self, table: &TaggedTable, pc: u64) -> usize {
-        let h = self.history.low(table.history_len);
         let w = pc_word(pc);
         to_index(low_bits(
-            w ^ (w >> self.entry_bits)
-                ^ fold_xor(h, self.entry_bits)
-                ^ u64::from(table.history_len),
+            w ^ (w >> self.entry_bits) ^ table.index_fold.value ^ u64::from(table.history_len),
             self.entry_bits,
         ))
     }
@@ -164,36 +234,59 @@ impl Tage {
         // Two differently-folded history hashes, the canonical
         // CSR1 ^ (CSR2 << 1) construction, so index-aliasing branches
         // rarely tag-alias too.
-        let h = self.history.low(table.history_len);
-        let f1 = fold_xor(h, self.tag_bits);
-        let f2 = if self.tag_bits > 1 {
-            fold_xor(h, self.tag_bits - 1) << 1
-        } else {
-            0
-        };
+        let f2 = table.tag_fold2.map_or(0, |fold| fold.value << 1);
         let w = pc_word(pc);
-        low_bits(w ^ (w >> self.tag_bits) ^ f1 ^ f2, self.tag_bits) as u16
+        low_bits(
+            w ^ (w >> self.tag_bits) ^ table.tag_fold.value ^ f2,
+            self.tag_bits,
+        ) as u16
     }
 
     fn lookup(&self, pc: u64) -> Lookup {
-        let indices: Vec<usize> = self.tables.iter().map(|t| self.index_of(t, pc)).collect();
-        let tags: Vec<u16> = self.tables.iter().map(|t| self.tag_of(t, pc)).collect();
-        let mut provider = None;
-        let mut alt = None;
-        for (i, table) in self.tables.iter().enumerate() {
-            let e = table.entries[indices[i]];
-            if e.valid && e.tag == tags[i] {
-                alt = provider;
-                provider = Some(i);
-            }
-        }
-        Lookup {
-            indices,
-            tags,
-            provider,
-            alt,
+        let mut l = Lookup {
+            indices: [0; MAX_TABLES],
+            tags: [0; MAX_TABLES],
+            provider: None,
+            alt: None,
             base_index: to_index(low_bits(pc_word(pc), self.entry_bits)),
+        };
+        for (i, table) in self.tables.iter().enumerate() {
+            let (index, tag) = (self.index_of(table, pc), self.tag_of(table, pc));
+            let e = table.entries[index];
+            if e.valid && e.tag == tag {
+                l.alt = l.provider;
+                l.provider = Some(i);
+            }
+            l.indices[i] = index;
+            l.tags[i] = tag;
         }
+        l
+    }
+
+    /// Shifts an outcome into the history and every table's folds.
+    fn push_history(&mut self, taken: bool) {
+        let before = self.history.value();
+        for table in &mut self.tables {
+            table.push(before, taken);
+        }
+        self.history.push(taken);
+        debug_assert!(
+            self.folds_are_exact(),
+            "a folded history register drifted from fold_xor of its slice"
+        );
+    }
+
+    /// Whether every table's folds equal `fold_xor` of its history
+    /// slice recomputed from scratch.
+    fn folds_are_exact(&self) -> bool {
+        self.tables.iter().all(|t| {
+            let h = self.history.low(t.history_len);
+            t.index_fold.value == fold_xor(h, self.entry_bits)
+                && t.tag_fold.value == fold_xor(h, self.tag_bits)
+                && t.tag_fold2.map_or(self.tag_bits == 1, |fold| {
+                    fold.value == fold_xor(h, self.tag_bits - 1)
+                })
+        })
     }
 
     fn alt_prediction(&self, l: &Lookup) -> bool {
@@ -238,6 +331,10 @@ impl Predictor for Tage {
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
+        self.retire(pc, None, taken);
+    }
+
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
         let l = self.lookup(pc);
         let final_prediction = self.prediction(&l);
         match l.provider {
@@ -296,7 +393,8 @@ impl Predictor for Tage {
             }
         }
 
-        self.history.push(taken);
+        self.push_history(taken);
+        final_prediction
     }
 
     fn cost(&self) -> Cost {
@@ -317,9 +415,7 @@ impl Predictor for Tage {
 
     fn reset(&mut self) {
         self.base.reset();
-        for t in &mut self.tables {
-            t.entries.iter_mut().for_each(|e| *e = TagEntry::empty());
-        }
+        self.tables.iter_mut().for_each(TaggedTable::reset);
         self.history.reset();
     }
 
@@ -348,6 +444,27 @@ mod tests {
         // Short maxima clamp at one bit rather than degenerating to 0.
         let p = Tage::new(3, 2, 4, 2);
         assert_eq!(p.history_lengths(), [1, 1, 2]);
+    }
+
+    #[test]
+    fn folded_histories_equal_fold_xor_after_every_push() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 1..=MAX_HISTORY_BITS {
+            for tag_bits in 1..=16 {
+                // One table, so its slice is the whole `len`-bit history;
+                // index widths cycle through 1..=12 alongside.
+                let mut p = Tage::new(1, len, tag_bits, 1 + (len + tag_bits) % 12);
+                assert_eq!(p.tables[0].tag_fold2.is_none(), tag_bits == 1);
+                // Enough pushes to wrap the window twice.
+                for _ in 0..2 * len + 3 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    p.push_history(x & 1 == 1);
+                    assert!(p.folds_are_exact(), "len {len}, tag width {tag_bits}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -454,6 +571,10 @@ mod tests {
             assert_eq!(p.predict(pc), fresh.predict(pc));
         }
         assert!(p.tables.iter().all(|t| t.entries.iter().all(|e| !e.valid)));
+        assert!(
+            p.folds_are_exact(),
+            "reset must clear the folds with the history"
+        );
     }
 
     #[test]

@@ -14,7 +14,10 @@ use crate::table::CounterTable;
 /// The meta table is indexed by branch address; each entry is a two-bit
 /// counter whose direction means "prefer component B". The meta counter
 /// trains only when the components disagree, towards whichever was
-/// correct.
+/// correct. Like the cascade's stages, the components are consulted
+/// without the branch target — the view the meta counter scores them
+/// on — so a target-sensitive component such as `Btfnt` answers its
+/// target-less `predict`.
 ///
 /// ```
 /// use bpred_core::{Bimodal, Gshare, Predictor, Tournament};
@@ -84,24 +87,24 @@ impl Predictor for Tournament {
         }
     }
 
-    fn predict_with_target(&self, pc: u64, target: u64) -> bool {
-        if self.prefers_b(pc) {
-            self.b.predict_with_target(pc, target)
-        } else {
-            self.a.predict_with_target(pc, target)
-        }
+    fn update(&mut self, pc: u64, taken: bool) {
+        self.retire(pc, None, taken);
     }
 
-    fn update(&mut self, pc: u64, taken: bool) {
-        let pa = self.a.predict(pc);
-        let pb = self.b.predict(pc);
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
+        let prefers_b = self.prefers_b(pc);
+        let pa = self.a.retire(pc, None, taken);
+        let pb = self.b.retire(pc, None, taken);
         if pa != pb {
             // Train the selector towards whichever component was right.
             let idx = self.meta_index(pc);
             self.meta.update(idx, pb == taken);
         }
-        self.a.update(pc, taken);
-        self.b.update(pc, taken);
+        if prefers_b {
+            pb
+        } else {
+            pa
+        }
     }
 
     fn cost(&self) -> Cost {
@@ -145,7 +148,7 @@ mod tests {
     use super::*;
     use crate::predictors::bimodal::Bimodal;
     use crate::predictors::gshare::Gshare;
-    use crate::predictors::statics::{AlwaysNotTaken, AlwaysTaken};
+    use crate::predictors::statics::{AlwaysNotTaken, AlwaysTaken, Btfnt};
 
     fn bimodal_gshare() -> Tournament {
         Tournament::new(Box::new(Bimodal::new(8)), Box::new(Gshare::new(8, 8)), 8)
@@ -194,6 +197,18 @@ mod tests {
         }
         assert!(p.predict(x));
         assert!(!p.predict(y));
+    }
+
+    #[test]
+    fn components_answer_without_the_target() {
+        // Handed the target, btfnt would call this forward branch not
+        // taken; the tournament asks it the target-less question its
+        // meta counter scores, on both the two-call and the retire path.
+        let mut p = Tournament::new(Box::new(AlwaysNotTaken), Box::new(Btfnt), 4);
+        let (pc, forward) = (0x1000, 0x1100);
+        assert!(p.prefers_b(pc));
+        assert!(p.predict_with_target(pc, forward));
+        assert!(p.retire(pc, Some(forward), true));
     }
 
     #[test]

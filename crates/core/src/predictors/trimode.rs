@@ -247,6 +247,10 @@ impl Predictor for TriMode {
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
+        self.retire(pc, None, taken);
+    }
+
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
         let l = self.lookup(pc);
 
         // Train only the selected bank, as in bi-mode.
@@ -269,6 +273,7 @@ impl Predictor for TriMode {
         }
 
         self.history.push(taken);
+        l.prediction
     }
 
     fn cost(&self) -> Cost {

@@ -116,6 +116,10 @@ impl Predictor for TwoBcGskew {
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
+        self.retire(pc, None, taken);
+    }
+
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
         let l = self.lookup(pc);
         let correct = l.prediction == taken;
 
@@ -149,6 +153,7 @@ impl Predictor for TwoBcGskew {
         }
 
         self.history.push(taken);
+        l.prediction
     }
 
     fn cost(&self) -> Cost {

@@ -162,6 +162,10 @@ impl Predictor for Yags {
     }
 
     fn update(&mut self, pc: u64, taken: bool) {
+        self.retire(pc, None, taken);
+    }
+
+    fn retire(&mut self, pc: u64, _target: Option<u64>, taken: bool) -> bool {
         let (bias, idx, hit) = self.lookup(pc);
         let prediction = hit.map_or(bias, Counter2::predict);
         let cache = usize::from(!bias);
@@ -181,6 +185,7 @@ impl Predictor for Yags {
         }
 
         self.history.push(taken);
+        prediction
     }
 
     fn cost(&self) -> Cost {
