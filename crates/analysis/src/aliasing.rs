@@ -14,16 +14,16 @@
 //! * **neutral** — at least one side weakly biased (the counter was
 //!   never going to be stable for it anyway).
 //!
-//! [`AliasReport::measure`] runs a predictor over a trace, collects the
-//! per-(branch, counter) substreams, and classifies every colliding
-//! pair at every counter, weighting each pair by the traffic of its
-//! smaller stream (a pair that meets twice matters less than one that
-//! meets a million times).
+//! [`AliasReport::measure`] runs a predictor over a packed trace,
+//! collects the per-(branch, counter) substreams, and classifies every
+//! colliding pair at every counter, weighting each pair by the traffic
+//! of its smaller stream (a pair that meets twice matters less than one
+//! that meets a million times).
 
 use std::collections::HashMap;
 
 use bpred_core::Predictor;
-use bpred_trace::Trace;
+use bpred_trace::PackedTrace;
 
 use crate::bias::{BiasClass, StreamStats};
 
@@ -57,7 +57,7 @@ impl AliasReport {
     /// # Panics
     ///
     /// Panics if the predictor exposes no identifiable counters.
-    pub fn measure<P, F>(trace: &Trace, make: F) -> AliasReport
+    pub fn measure<P, F>(trace: &PackedTrace, make: F) -> AliasReport
     where
         P: Predictor,
         F: Fn() -> P,
@@ -68,19 +68,17 @@ impl AliasReport {
             "alias analysis needs identifiable counters; {} has none",
             predictor.name()
         );
-        // counter -> (branch pc -> stream stats)
+        // counter -> (branch site -> stream stats)
         let started = std::time::Instant::now();
-        let mut by_counter: HashMap<usize, HashMap<u64, StreamStats>> = HashMap::new();
-        let mut branches = 0u64;
-        for record in trace.conditional() {
-            branches += 1;
+        let mut by_counter: HashMap<usize, HashMap<u32, StreamStats>> = HashMap::new();
+        for record in trace.records() {
             let counter = predictor
                 .counter_id(record.pc)
                 .expect("num_counters > 0 implies counter_id is Some"); // panic-audited: num_counters() > 0 guard at entry implies table-backed counter_id
             by_counter
                 .entry(counter)
                 .or_default()
-                .entry(record.pc)
+                .entry(record.site)
                 .or_default()
                 .record(record.taken);
             predictor.update(record.pc, record.taken);
@@ -89,7 +87,7 @@ impl AliasReport {
         // One pass over every conditional branch with one config.
         crate::metrics::record_engine_drive(
             crate::metrics::Engine::Scalar,
-            branches,
+            trace.len() as u64,
             1,
             started.elapsed(),
         );
@@ -104,9 +102,9 @@ impl AliasReport {
                 continue;
             }
             report.counters_shared += 1;
-            let entries: Vec<(&u64, &StreamStats)> = branches.iter().collect();
-            for (i, (_, a)) in entries.iter().enumerate() {
-                for (_, b) in &entries[i + 1..] {
+            let entries: Vec<&StreamStats> = branches.values().collect();
+            for (i, a) in entries.iter().enumerate() {
+                for b in &entries[i + 1..] {
                     let weight = a.total.min(b.total);
                     match (a.class(), b.class()) {
                         (BiasClass::WeaklyBiased, _) | (_, BiasClass::WeaklyBiased) => {
@@ -151,7 +149,11 @@ impl AliasReport {
 mod tests {
     use super::*;
     use bpred_core::{BiMode, BiModeConfig, Bimodal, Gshare};
-    use bpred_trace::BranchRecord;
+    use bpred_trace::{BranchRecord, Trace};
+
+    fn pack(t: &Trace) -> PackedTrace {
+        PackedTrace::build(t).unwrap()
+    }
 
     /// Branches colliding in a 16-entry table: two same-biased, one
     /// opposite, one weak.
@@ -171,7 +173,7 @@ mod tests {
 
     #[test]
     fn classifies_pairs_on_a_shared_counter() {
-        let report = AliasReport::measure(&collision_trace(), || Bimodal::new(4));
+        let report = AliasReport::measure(&pack(&collision_trace()), || Bimodal::new(4));
         // Four streams on one counter: C(4,2) = 6 pairs.
         assert_eq!(report.streams, 4);
         assert_eq!(report.counters_used, 1);
@@ -185,7 +187,7 @@ mod tests {
 
     #[test]
     fn no_aliasing_in_a_large_table() {
-        let report = AliasReport::measure(&collision_trace(), || Bimodal::new(12));
+        let report = AliasReport::measure(&pack(&collision_trace()), || Bimodal::new(12));
         assert_eq!(report.counters_shared, 0);
         assert_eq!(report.total_pairs(), 0);
         assert_eq!(report.destructive_fraction(), 0.0);
@@ -198,8 +200,8 @@ mod tests {
         // bi-mode's destructive weight collapses relative to gshare
         // because opposite-biased branches go to different banks.
         let t = collision_trace();
-        let gshare = AliasReport::measure(&t, || Gshare::new(4, 0));
-        let bimode = AliasReport::measure(&t, || BiMode::new(BiModeConfig::new(4, 10, 0)));
+        let gshare = AliasReport::measure(&pack(&t), || Gshare::new(4, 0));
+        let bimode = AliasReport::measure(&pack(&t), || BiMode::new(BiModeConfig::new(4, 10, 0)));
         assert!(gshare.destructive_weight > 0);
         assert!(
             bimode.destructive_weight * 10 < gshare.destructive_weight,
@@ -222,7 +224,7 @@ mod tests {
         for _ in 0..1000 {
             t.push(BranchRecord::conditional(0x1000 + stride, 0, false));
         }
-        let report = AliasReport::measure(&t, || Bimodal::new(4));
+        let report = AliasReport::measure(&pack(&t), || Bimodal::new(4));
         assert_eq!(report.destructive_pairs, 1);
         assert_eq!(report.destructive_weight, 10);
     }

@@ -67,28 +67,6 @@ impl StreamStats {
     }
 }
 
-/// Per-site bias classification of a trace: `(byte PC, stats)` per
-/// static conditional site, sorted by PC, using the same aggregation
-/// as `bpred_trace::site_table` — so this export, the bias
-/// experiments, and the static/dynamic cross-check (`cfa.report`) all
-/// classify from identical counts. Call [`StreamStats::class`] on the
-/// stats for the 90%-threshold class.
-#[must_use]
-pub fn site_classes(trace: &bpred_trace::Trace) -> Vec<(u64, StreamStats)> {
-    bpred_trace::site_table(trace)
-        .into_iter()
-        .map(|s| {
-            (
-                s.pc,
-                StreamStats {
-                    taken: s.taken,
-                    total: s.executions,
-                },
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,34 +105,6 @@ mod tests {
     #[should_panic(expected = "empty stream")]
     fn empty_stream_has_no_class() {
         let _ = StreamStats::default().class();
-    }
-
-    #[test]
-    fn site_classes_agrees_with_the_trace_site_table() {
-        use bpred_trace::{BranchRecord, Trace};
-        let mut trace = Trace::new("t");
-        for taken in [true, true, true, false] {
-            trace.push(BranchRecord::conditional(0x0040_0000, 0x0040_0020, taken));
-        }
-        trace.push(BranchRecord::conditional(0x0040_0008, 0x0040_0020, false));
-        let classes = site_classes(&trace);
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes[0].0, 0x0040_0000);
-        assert_eq!(classes[0].1, StreamStats { taken: 3, total: 4 });
-        assert_eq!(classes[1].1.class(), BiasClass::StronglyNotTaken);
-        // The labels line up with the trace-side buckets row by row.
-        for ((pc, stats), site) in classes.iter().zip(bpred_trace::site_table(&trace)) {
-            assert_eq!(*pc, site.pc);
-            assert_eq!(stats.class().label(), bucket_label(site.bucket()));
-        }
-    }
-
-    fn bucket_label(b: bpred_trace::BiasBucket) -> &'static str {
-        match b {
-            bpred_trace::BiasBucket::StronglyTaken => "ST",
-            bpred_trace::BiasBucket::StronglyNotTaken => "SNT",
-            bpred_trace::BiasBucket::WeaklyBiased => "WB",
-        }
     }
 
     #[test]

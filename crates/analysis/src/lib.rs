@@ -16,15 +16,17 @@
 //! misprediction, and class change.
 //!
 //! ```
-//! use bpred_analysis::{simulate, Analysis};
+//! use bpred_analysis::{measure_packed, Analysis};
 //! use bpred_core::Gshare;
+//! use bpred_trace::PackedTrace;
 //! use bpred_workloads::{Scale, Workload};
 //!
 //! let trace = Workload::by_name("compress").unwrap().trace(Scale::Smoke);
-//! let result = simulate::measure(&trace, &mut Gshare::new(10, 10));
+//! let packed = PackedTrace::build(&trace).unwrap();
+//! let result = measure_packed(&packed, &mut Gshare::new(10, 10));
 //! assert!(result.misprediction_rate() < 0.2);
 //!
-//! let analysis = Analysis::run(&trace, || Gshare::new(8, 8));
+//! let analysis = Analysis::run(&packed, || Gshare::new(8, 8));
 //! assert_eq!(analysis.per_counter.len(), 256);
 //! ```
 

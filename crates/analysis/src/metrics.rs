@@ -37,9 +37,12 @@ use bpred_race::sync::{AtomicU64, Ordering};
 /// were introduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// Per-config walks of an unpacked [`Trace`](bpred_trace::Trace):
-    /// [`measure`](crate::measure) and friends, plus the warmup,
-    /// aliasing and two-pass analysis loops.
+    /// Single-config loops outside the session engines: the two-call
+    /// reference loops [`measure`](crate::measure) and
+    /// [`measure_with_flushes`](crate::measure_with_flushes) over an
+    /// unpacked [`Trace`](bpred_trace::Trace), and the warm-up, alias
+    /// and two-pass analysis loops over a
+    /// [`PackedTrace`](bpred_trace::PackedTrace).
     Scalar,
     /// Per-config walks of a [`PackedTrace`](bpred_trace::PackedTrace):
     /// [`measure_packed`](crate::measure_packed) and its flush variant.

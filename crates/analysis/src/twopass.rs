@@ -1,17 +1,17 @@
 //! The two-pass substream attribution engine behind Figures 5–8 and
 //! Table 4.
 //!
-//! Pass 1 simulates the predictor and accumulates [`StreamStats`] for
-//! every (static branch, consulted counter) pair. Pass 2 re-simulates
-//! from an identical power-on state — predictors are deterministic, so
-//! every access consults the same counter — and attributes each access,
-//! misprediction, and bias-class change to the class its substream
-//! belongs to.
+//! Pass 1 simulates the predictor over a [`PackedTrace`] and
+//! accumulates [`StreamStats`] for every (static branch, consulted
+//! counter) pair. Pass 2 re-simulates from an identical power-on state —
+//! predictors are deterministic, so every access consults the same
+//! counter — and attributes each access, misprediction, and bias-class
+//! change to the class its substream belongs to.
 
 use std::collections::HashMap;
 
 use bpred_core::Predictor;
-use bpred_trace::Trace;
+use bpred_trace::PackedTrace;
 
 use crate::bias::{BiasClass, StreamStats};
 use crate::simulate::RunResult;
@@ -160,7 +160,7 @@ impl Analysis {
     /// Panics if the predictor does not expose identifiable counters
     /// (`num_counters() == 0`), or if the two passes disagree on a
     /// counter id (a non-deterministic predictor).
-    pub fn run<P, F>(trace: &Trace, make: F) -> Analysis
+    pub fn run<P, F>(trace: &PackedTrace, make: F) -> Analysis
     where
         P: Predictor,
         F: Fn() -> P,
@@ -174,13 +174,13 @@ impl Analysis {
             "bias analysis needs identifiable counters; {} has none",
             predictor.name()
         );
-        let mut streams: HashMap<(u64, usize), StreamStats> = HashMap::new();
-        for record in trace.conditional() {
+        let mut streams: HashMap<(u32, usize), StreamStats> = HashMap::new();
+        for record in trace.records() {
             let counter = predictor
                 .counter_id(record.pc)
                 .expect("num_counters > 0 implies counter_id is Some"); // panic-audited: num_counters() > 0 guard at entry implies table-backed counter_id
             streams
-                .entry((record.pc, counter))
+                .entry((record.site, counter))
                 .or_default()
                 .record(record.taken);
             predictor.update(record.pc, record.taken);
@@ -190,12 +190,11 @@ impl Analysis {
         let mut predictor = make();
         let mut per_counter = vec![CounterBias::default(); num_counters];
         let mut last_class: Vec<Option<BiasClass>> = vec![None; num_counters];
-        let mut change_runs: Vec<u64> = vec![0; 3]; // interrupted runs by absolute class
         let mut changes_at: HashMap<usize, [u64; 3]> = HashMap::new();
         let mut breakdown = MispredictionBreakdown::default();
         let mut run = RunResult::default();
 
-        for record in trace.conditional() {
+        for record in trace.records() {
             let counter = predictor
                 .counter_id(record.pc)
                 .expect("num_counters > 0 implies counter_id is Some"); // panic-audited: num_counters() > 0 guard at entry implies table-backed counter_id
@@ -204,8 +203,8 @@ impl Analysis {
                 "pass 2 diverged: counter {counter} out of range"
             );
             let class = streams
-                .get(&(record.pc, counter))
-                .expect("pass 2 diverged: unseen substream") // panic-audited: pass 1 visited every (pc, counter) pass 2 can see
+                .get(&(record.site, counter))
+                .expect("pass 2 diverged: unseen substream") // panic-audited: pass 1 visited every (site, counter) pass 2 can see
                 .class();
 
             let bucket = &mut per_counter[counter];
@@ -224,7 +223,6 @@ impl Analysis {
                         BiasClass::StronglyNotTaken => 1,
                         BiasClass::WeaklyBiased => 2,
                     };
-                    change_runs[slot] += 1;
                     changes_at.entry(counter).or_default()[slot] += 1;
                 }
             }
@@ -232,8 +230,7 @@ impl Analysis {
 
             run.branches += 1;
             breakdown.branches += 1;
-            let predicted = predictor.predict(record.pc);
-            if predicted != record.taken {
+            if predictor.retire(record.pc, None, record.taken) != record.taken {
                 run.mispredictions += 1;
                 match class {
                     BiasClass::StronglyTaken => breakdown.st += 1,
@@ -241,7 +238,6 @@ impl Analysis {
                     BiasClass::WeaklyBiased => breakdown.wb += 1,
                 }
             }
-            predictor.update(record.pc, record.taken);
         }
 
         // Re-bucket the change counts into counter-relative roles
@@ -328,7 +324,11 @@ impl Analysis {
 mod tests {
     use super::*;
     use bpred_core::{BiMode, BiModeConfig, Bimodal, Gshare};
-    use bpred_trace::BranchRecord;
+    use bpred_trace::{BranchRecord, Trace};
+
+    fn pack(t: &Trace) -> PackedTrace {
+        PackedTrace::build(t).unwrap()
+    }
 
     /// Two opposite-biased branches aliasing onto one bimodal counter.
     fn aliased_trace() -> Trace {
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn detects_destructive_aliasing_as_mixed_counter() {
         let t = aliased_trace();
-        let analysis = Analysis::run(&t, || Gshare::new(4, 0));
+        let analysis = Analysis::run(&pack(&t), || Gshare::new(4, 0));
         // One counter sees both an ST and an SNT substream, 50/50.
         let mixed: Vec<&CounterBias> = analysis
             .per_counter
@@ -364,7 +364,7 @@ mod tests {
     #[test]
     fn aliased_counter_produces_class_changes_and_misses() {
         let t = aliased_trace();
-        let analysis = Analysis::run(&t, || Gshare::new(4, 0));
+        let analysis = Analysis::run(&pack(&t), || Gshare::new(4, 0));
         // The two streams strictly alternate: ~399 changes.
         assert!(analysis.class_changes.total() >= 398);
         // Attribution: the SNT stream eats the mispredictions (the
@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn bimode_separates_the_same_aliases() {
         let t = aliased_trace();
-        let analysis = Analysis::run(&t, || BiMode::new(BiModeConfig::new(4, 8, 0)));
+        let analysis = Analysis::run(&pack(&t), || BiMode::new(BiModeConfig::new(4, 8, 0)));
         // Until the choice predictor steers the not-taken branch to bank
         // 0 (a couple of accesses), the taken bank briefly sees both
         // streams; after that no counter mixes strong classes. So the
@@ -400,7 +400,7 @@ mod tests {
         for i in 0..100 {
             t.push(BranchRecord::conditional(0x40, 0, i % 2 == 0));
         }
-        let analysis = Analysis::run(&t, || Bimodal::new(4));
+        let analysis = Analysis::run(&pack(&t), || Bimodal::new(4));
         let total_wb: u64 = analysis.per_counter.iter().map(|c| c.wb).sum();
         assert_eq!(total_wb, 100);
         let (_, _, wb_area) = analysis.area_fractions();
@@ -411,7 +411,7 @@ mod tests {
     #[test]
     fn attribution_pass_matches_plain_measurement() {
         let t = aliased_trace();
-        let analysis = Analysis::run(&t, || Gshare::new(6, 4));
+        let analysis = Analysis::run(&pack(&t), || Gshare::new(6, 4));
         let plain = crate::simulate::measure(&t, &mut Gshare::new(6, 4));
         assert_eq!(
             analysis.run, plain,
@@ -428,7 +428,7 @@ mod tests {
             t.push(BranchRecord::conditional(0x40, 0, i % 2 == 0));
             t.push(BranchRecord::conditional(0x44, 0, true));
         }
-        let analysis = Analysis::run(&t, || Bimodal::new(4));
+        let analysis = Analysis::run(&pack(&t), || Bimodal::new(4));
         let sorted = analysis.sorted_for_figure();
         let (_, _, first_wb) = sorted[0].1.normalized();
         assert!(
@@ -451,13 +451,13 @@ mod tests {
     #[should_panic(expected = "identifiable counters")]
     fn rejects_predictors_without_counters() {
         let t = aliased_trace();
-        let _ = Analysis::run(&t, || bpred_core::AlwaysTaken);
+        let _ = Analysis::run(&pack(&t), || bpred_core::AlwaysTaken);
     }
 
     #[test]
     fn breakdown_percentages_sum_to_total() {
         let t = aliased_trace();
-        let a = Analysis::run(&t, || Gshare::new(5, 3));
+        let a = Analysis::run(&pack(&t), || Gshare::new(5, 3));
         let sum = a.breakdown.st_percent() + a.breakdown.snt_percent() + a.breakdown.wb_percent();
         assert!((sum - a.breakdown.total_percent()).abs() < 1e-9);
         assert!((a.breakdown.total_percent() - a.run.misprediction_percent()).abs() < 1e-9);

@@ -4,7 +4,7 @@
 //! flush ablation are about).
 
 use bpred_core::Predictor;
-use bpred_trace::Trace;
+use bpred_trace::PackedTrace;
 
 /// The misprediction rate of each consecutive window of
 /// `window` conditional branches (the final partial window is included
@@ -14,7 +14,7 @@ use bpred_trace::Trace;
 ///
 /// Panics if `window` is zero.
 pub fn windowed_rates<P: Predictor + ?Sized>(
-    trace: &Trace,
+    trace: &PackedTrace,
     predictor: &mut P,
     window: u64,
 ) -> Vec<f64> {
@@ -23,12 +23,9 @@ pub fn windowed_rates<P: Predictor + ?Sized>(
     let mut rates = Vec::new();
     let mut in_window = 0u64;
     let mut misses = 0u64;
-    let mut branches = 0u64;
-    for record in trace.conditional() {
-        branches += 1;
-        let predicted = predictor.predict_with_target(record.pc, record.target);
+    for record in trace.records() {
+        let predicted = predictor.retire(record.pc, Some(record.target()), record.taken);
         misses += u64::from(predicted != record.taken);
-        predictor.update(record.pc, record.taken);
         in_window += 1;
         if in_window == window {
             rates.push(misses as f64 / window as f64);
@@ -41,7 +38,7 @@ pub fn windowed_rates<P: Predictor + ?Sized>(
     }
     crate::metrics::record_engine_drive(
         crate::metrics::Engine::Scalar,
-        branches,
+        trace.len() as u64,
         1,
         started.elapsed(),
     );
@@ -67,12 +64,18 @@ pub fn warmup_windows(rates: &[f64], slack: f64) -> usize {
 mod tests {
     use super::*;
     use bpred_core::{Bimodal, Gshare};
-    use bpred_trace::BranchRecord;
+    use bpred_trace::{BranchRecord, Trace};
 
-    fn biased_trace(n: usize) -> Trace {
-        (0..n)
-            .map(|i| BranchRecord::conditional(0x40 + (i as u64 % 16) * 4, 0, false))
-            .collect()
+    fn pack(t: &Trace) -> PackedTrace {
+        PackedTrace::build(t).unwrap()
+    }
+
+    fn biased_trace(n: usize) -> PackedTrace {
+        pack(
+            &(0..n)
+                .map(|i| BranchRecord::conditional(0x40 + (i as u64 % 16) * 4, 0, false))
+                .collect(),
+        )
     }
 
     #[test]
@@ -108,7 +111,7 @@ mod tests {
         for i in 0..5000 {
             t.push(BranchRecord::conditional(0x100, 0, i % 3 == 0));
         }
-        let rates = windowed_rates(&t, &mut Gshare::new(10, 10), 250);
+        let rates = windowed_rates(&pack(&t), &mut Gshare::new(10, 10), 250);
         let steady_tail = &rates[rates.len() - 4..];
         assert!(
             steady_tail.iter().all(|r| *r < 0.02),

@@ -9,17 +9,14 @@ use bpred_core::{BiMode, BiModeConfig, Gshare};
 use bpred_harness::search::best_gshare;
 use bpred_harness::sweep::{sweep_scheme, Scheme};
 use bpred_harness::traces::TraceSet;
-use bpred_trace::{PackedTrace, Trace};
+use bpred_trace::PackedTrace;
 use bpred_workloads::{Scale, Workload};
 
-fn gcc_trace() -> Trace {
-    Workload::by_name("gcc")
-        .expect("registered")
-        .trace(Scale::Smoke)
-}
-
 fn gcc_packed() -> PackedTrace {
-    PackedTrace::build(&gcc_trace()).expect("gcc site table fits")
+    let trace = Workload::by_name("gcc")
+        .expect("registered")
+        .trace(Scale::Smoke);
+    PackedTrace::build(&trace).expect("gcc site table fits")
 }
 
 fn small_set() -> TraceSet {
@@ -61,7 +58,7 @@ fn bench_best_search(c: &mut Criterion) {
 
 /// Figure 5/6 and Table 4 kernel: the two-pass bias analysis.
 fn bench_bias_analysis(c: &mut Criterion) {
-    let trace = gcc_trace();
+    let trace = gcc_packed();
     let mut group = c.benchmark_group("bias_analysis");
     group.sample_size(10);
     group.bench_function("fig5_gshare_8_8", |b| {

@@ -1,12 +1,14 @@
-//! The harness side of the packed execution engine: fan a batch of
-//! predictor configurations over packed traces in a single pass each,
-//! parallelising over traces.
+//! The harness side of the packed execution engines: fan predictor
+//! configurations over packed traces, parallelising over traces, with
+//! every (configuration, trace) point planned as a result-store job.
 //!
 //! The sweeps and ablations all reduce to the same shape: N
-//! configurations measured over T traces. The scalar path costs N
-//! full-trace walks per trace; [`batch_rates`] instead packs the batch
-//! through [`bpred_analysis::measure_batch`], so each trace is streamed
-//! once and its cache-resident blocks are reused across all N
+//! configurations measured over T traces. [`cached_spec_rates`] drives
+//! grammar-spec grids through the bit-sliced engine where it can and
+//! the batch engine otherwise; [`cached_batch_rates`] fuses a
+//! monomorphised predictor grid into one
+//! [`bpred_analysis::measure_batch`] pass per trace, so each trace is
+//! streamed once and its cache-resident blocks are reused across all N
 //! configurations.
 //!
 //! Work accounting (branches simulated, configurations driven) is
@@ -69,64 +71,21 @@ pub fn average(rates: &[f64]) -> f64 {
     }
 }
 
-/// Drives a freshly built predictor batch over every packed trace in a
-/// single pass each — traces in parallel (bounded by `jobs`),
-/// configurations batched within each pass — and returns
-/// `rates[config][trace]` misprediction rates.
-///
-/// `configs` is the size of the batch `build` returns; the caller
-/// always knows it (it is the length of the config grid being swept),
-/// and carrying it explicitly means an empty trace list costs nothing —
-/// no throwaway batch is constructed just to count it.
-///
-/// `build` is called once per trace, so every trace sees power-on-fresh
-/// predictor state, exactly like the scalar per-(config, trace) loops
-/// this replaces. Homogeneous builders (`Vec<Gshare>`, `Vec<BiMode>`)
-/// get a fully monomorphised measurement loop; mixed grids use
-/// `Vec<Box<dyn Predictor>>`.
-pub fn batch_rates<P, F>(
-    traces: &[&PackedTrace],
-    jobs: Option<usize>,
-    configs: usize,
-    build: F,
-) -> Vec<Vec<f64>>
-where
-    P: Predictor,
-    F: Fn() -> Vec<P> + Sync,
-{
-    let per_trace: Vec<Vec<f64>> = parallel::map(traces.to_vec(), jobs, |t| {
-        let mut batch = build();
-        debug_assert_eq!(
-            batch.len(),
-            configs,
-            "declared config count must match the built batch"
-        );
-        bpred_analysis::measure_batch(t, &mut batch)
-            .into_iter()
-            .map(|r| r.misprediction_rate())
-            .collect()
-    });
-    let mut rates = vec![Vec::with_capacity(traces.len()); configs];
-    for trace_rates in &per_trace {
-        for (config, rate) in trace_rates.iter().enumerate() {
-            rates[config].push(*rate);
-        }
-    }
-    rates
-}
-
-/// Store-aware [`batch_rates`]: plans one [`crate::store::Job`] per
+/// Drives a predictor grid over every packed trace in a single batched
+/// pass each — traces in parallel (bounded by `jobs`), configurations
+/// batched within each pass. Plans one [`crate::store::Job`] per
 /// (configuration, trace) point, serves hits from the result store,
 /// and fans only the cache-missing configurations of each trace into
-/// one batched pass. Returns `rates[config][trace]`, bit-identical to
-/// an uncached run — hits replay stored branch/misprediction counts
+/// the pass. Returns `rates[config][trace]`, bit-identical to an
+/// uncached run — hits replay stored branch/misprediction counts
 /// through the same rate expression the live path evaluates.
 ///
 /// `specs[i]` is the store identity of configuration `i`; `build`
 /// receives the *indices* of the configurations that missed for the
 /// trace at hand (in ascending order) and must return exactly those
 /// predictors, power-on fresh, in that order. On a warm store `build`
-/// is never called and the traces are never streamed.
+/// is never called and the traces are never streamed. Homogeneous
+/// builders (`Vec<BiMode>`) get a fully monomorphised measurement loop.
 pub fn cached_batch_rates<P, F>(
     traces: &[&PackedTrace],
     jobs: Option<usize>,
@@ -318,7 +277,6 @@ pub fn cached_spec_rates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpred_core::{BiMode, BiModeConfig, Gshare};
     use bpred_trace::{BranchRecord, Trace};
 
     fn trace(seed: u64, len: u64) -> Trace {
@@ -337,54 +295,22 @@ mod tests {
         t
     }
 
-    fn batch() -> Vec<Box<dyn Predictor>> {
-        vec![
-            Box::new(Gshare::new(8, 8)),
-            Box::new(Gshare::new(8, 0)),
-            Box::new(BiMode::new(BiModeConfig::paper_default(6))),
-        ]
+    fn parse(specs: &[&str]) -> Vec<PredictorSpec> {
+        specs.iter().map(|s| s.parse().unwrap()).collect()
     }
 
-    #[test]
-    fn rates_match_scalar_per_config_runs() {
-        let (a, b) = (trace(3, 6000), trace(99, 2000));
-        let (pa, pb) = (
-            PackedTrace::build(&a).unwrap(),
-            PackedTrace::build(&b).unwrap(),
-        );
-        let rates = batch_rates(&[&pa, &pb], Some(2), 3, batch);
-        assert_eq!(rates.len(), 3);
-        for (config, mut p) in batch().into_iter().enumerate() {
-            for (i, t) in [&a, &b].into_iter().enumerate() {
-                p.reset();
-                let want = bpred_analysis::measure(t, p.as_mut()).misprediction_rate();
-                assert!(
-                    (rates[config][i] - want).abs() == 0.0,
-                    "config {config} trace {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_trace_list_never_builds_a_batch() {
-        // The declared count shapes the result; `build` must not run.
-        let rates = batch_rates::<Box<dyn Predictor>, _>(&[], None, 3, || {
-            unreachable!("no traces, no batch construction")
-        });
-        assert_eq!(rates.len(), 3);
-        assert!(rates.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn drives_are_recorded_for_the_observer() {
-        let t = trace(7, 3000);
-        let p = PackedTrace::build(&t).unwrap();
-        let before = bpred_analysis::metrics::snapshot();
-        let _ = batch_rates(&[&p], Some(1), 3, batch);
-        let delta = bpred_analysis::metrics::snapshot().since(&before);
-        assert!(delta.branches >= 3000 * 3, "got {delta:?}");
-        assert!(delta.configs >= 3, "got {delta:?}");
+    /// `rates[config][trace]` of the two-call reference loop over the
+    /// source traces, one fresh predictor per (spec, trace).
+    fn reference_rates(traces: &[&Trace], specs: &[PredictorSpec]) -> Vec<Vec<f64>> {
+        specs
+            .iter()
+            .map(|s| {
+                traces
+                    .iter()
+                    .map(|t| bpred_analysis::measure(t, s.build().as_mut()).misprediction_rate())
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -394,64 +320,61 @@ mod tests {
     }
 
     #[test]
-    fn cached_rates_match_uncached_and_hit_on_rerun() {
-        use bpred_core::PredictorSpec;
-        // A trace no other test shares, so first-run miss accounting
+    fn cached_rates_match_the_reference_and_hit_on_rerun() {
+        // Traces no other test shares, so first-run miss accounting
         // and second-run hits are attributable to this test alone.
-        let t = trace(0xC0FFEE ^ u64::from(std::process::id()), 4000);
-        let p = PackedTrace::build(&t).unwrap();
-        let specs: Vec<PredictorSpec> = ["gshare:s=7,h=7", "gshare:s=7,h=3", "bimode:d=6"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
+        let pid = u64::from(std::process::id());
+        let (a, b) = (trace(0xC0FFEE ^ pid, 6000), trace(0xD00D ^ pid, 2000));
+        let packed = [
+            PackedTrace::build(&a).unwrap(),
+            PackedTrace::build(&b).unwrap(),
+        ];
+        let traces: Vec<&PackedTrace> = packed.iter().collect();
+        let specs = parse(&["gshare:s=7,h=7", "gshare:s=7,h=3", "bimode:d=6"]);
         let job_specs: Vec<JobSpec> = specs.iter().map(JobSpec::rate).collect();
         let build = |idx: &[usize]| -> Vec<Box<dyn Predictor>> {
             idx.iter().map(|&i| specs[i].build()).collect()
         };
-        let plain = batch_rates(&[&p], Some(1), 3, || build(&[0, 1, 2]));
-        let first = cached_batch_rates(&[&p], Some(1), &job_specs, build);
-        assert_eq!(first, plain, "cached path must be bit-identical");
+        let want = reference_rates(&[&a, &b], &specs);
+        let first = cached_batch_rates(&traces, Some(2), &job_specs, build);
+        assert_eq!(first, want, "cached path must be bit-identical");
         let before = store::counters();
         let second = cached_batch_rates(
-            &[&p],
-            Some(1),
+            &traces,
+            Some(2),
             &job_specs,
             |_: &[usize]| -> Vec<Box<dyn Predictor>> { panic!("warm store must not rebuild") },
         );
-        assert_eq!(second, plain);
+        assert_eq!(second, want);
         let delta = store::counters().since(&before);
-        assert!(delta.hits >= 3, "all three configs must hit: {delta:?}");
+        assert!(delta.hits >= 6, "every point must hit: {delta:?}");
     }
 
     #[test]
-    fn spec_rates_match_the_batch_engine_bit_for_bit() {
-        use bpred_core::PredictorSpec;
+    fn spec_rates_match_the_scalar_reference_bit_for_bit() {
         // A gshare-family grid plus explicit-fallback specs in one
         // call: the sliced and batch paths land in the same grid and
-        // must equal an all-batch reference run exactly.
+        // must equal per-spec reference runs exactly.
         let t = trace(0xBEEF ^ u64::from(std::process::id()), 5000);
         let p = PackedTrace::build(&t).unwrap();
-        let specs: Vec<PredictorSpec> = [
+        let specs = parse(&[
             "gshare:s=8,h=8",
             "gshare:s=8,h=3",
             "bimodal:s=7",
             "bimode:d=6",
             "always-taken",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
+        ]);
         let got = cached_spec_rates(&[&p], Some(2), &specs);
-        let want = batch_rates(&[&p], Some(1), specs.len(), || {
-            specs.iter().map(|s| s.build()).collect::<Vec<_>>()
-        });
-        assert_eq!(got, want, "sliced dispatch must be bit-identical");
+        assert_eq!(
+            got,
+            reference_rates(&[&t], &specs),
+            "sliced dispatch must be bit-identical"
+        );
     }
 
     #[test]
     fn spec_rates_use_the_sliced_engine_and_share_store_keys() {
         use bpred_analysis::metrics::{engine_snapshot, Engine};
-        use bpred_core::PredictorSpec;
         let t = trace(0xACE5 ^ u64::from(std::process::id()), 4000);
         let p = PackedTrace::build(&t).unwrap();
         let specs: Vec<PredictorSpec> = (0..=6u32)
@@ -482,8 +405,14 @@ mod tests {
     }
 
     #[test]
-    fn spec_rates_handle_empty_inputs() {
+    fn rates_handle_empty_inputs() {
         let rates = cached_spec_rates(&[], Some(1), &["bimodal:s=4".parse().unwrap()]);
+        assert_eq!(rates, [Vec::<f64>::new()]);
+        // No traces, no batch construction.
+        let job_specs = [JobSpec::rate(&"bimodal:s=4".parse().unwrap())];
+        let rates = cached_batch_rates::<Box<dyn Predictor>, _>(&[], None, &job_specs, |_| {
+            unreachable!("no traces, no batch construction")
+        });
         assert_eq!(rates, [Vec::<f64>::new()]);
         let t = trace(11, 200);
         let p = PackedTrace::build(&t).unwrap();

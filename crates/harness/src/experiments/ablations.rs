@@ -2,12 +2,14 @@
 //! the de-aliasing-scheme comparison from the related-work lineage
 //! (\[Lee97\]'s comparative study).
 //!
-//! Every configuration grid here is planned as store jobs and fused
-//! into one predictor batch per trace by
-//! [`engine::cached_batch_rates`] (traces in parallel, configurations
-//! batched, warm points served from the result store). Work accounting
-//! is recorded process-wide and reported per stage by the orchestrator
-//! (see [`crate::observe`]).
+//! Every configuration grid here is planned as store jobs (traces in
+//! parallel, warm points served from the result store): the grammar
+//! spec grids through [`engine::cached_spec_rates`], the bi-mode
+//! variant grids and the delayed-update wrappers, which have no spec
+//! of their own, fused into one predictor batch per trace by
+//! [`engine::cached_batch_rates`]. Work accounting is recorded
+//! process-wide and reported per stage by the orchestrator (see
+//! [`crate::observe`]).
 
 use bpred_core::{
     BankInit, BiMode, BiModeConfig, ChoiceUpdate, DelayedUpdate, IndexShare, Predictor,
@@ -235,18 +237,14 @@ pub fn compare_dealias(set: &TraceSet, jobs: Option<usize>) -> Report {
     );
     // (budget label, gshare s). Other schemes are sized to land close
     // to the same state budget; exact KB is printed. All three budgets'
-    // contenders share one batched pass.
+    // contenders share one dispatch: bimodal and gshare on the sliced
+    // engine, the rest in one batched pass per trace.
     let budgets = [("~0.75-1 KB", 12u32), ("~3-4 KB", 14), ("~12-16 KB", 16)];
     let grid: Vec<PredictorSpec> = budgets
         .iter()
         .flat_map(|&(_, s)| dealias_specs(s))
         .collect();
-    let job_specs: Vec<JobSpec> = grid.iter().map(JobSpec::rate).collect();
-    let rates = engine::cached_batch_rates(&traces, jobs, &job_specs, |idx| {
-        idx.iter()
-            .map(|&i| grid[i].build())
-            .collect::<Vec<Box<dyn Predictor>>>()
-    });
+    let rates = engine::cached_spec_rates(&traces, jobs, &grid);
     for (bi, &(label, _)) in budgets.iter().enumerate() {
         let mut t = Table::new(["scheme", "size KB", "misprediction %"]);
         for ci in 0..DEALIAS_CONTENDERS {
@@ -347,12 +345,7 @@ pub fn future_trimode(set: &TraceSet, jobs: Option<usize>) -> Report {
             ]
         })
         .collect();
-    let specs: Vec<JobSpec> = grid.iter().map(JobSpec::rate).collect();
-    let rates = engine::cached_batch_rates(&traces, jobs, &specs, |idx| {
-        idx.iter()
-            .map(|&i| grid[i].build())
-            .collect::<Vec<Box<dyn Predictor>>>()
-    });
+    let rates = engine::cached_spec_rates(&traces, jobs, &grid);
     for (di, &d) in ds.iter().enumerate() {
         let (bi_rates, tri_rates) = (&rates[2 * di], &rates[2 * di + 1]);
         let mut t = Table::new(["benchmark", "bi-mode %", "tri-mode %", "winner"]);
@@ -534,7 +527,7 @@ pub fn ablation_flush(set: &TraceSet, jobs: Option<usize>) -> Report {
 pub fn warmup_curves(set: &TraceSet) -> Report {
     let trace = set.trace("gcc").expect("warm-up uses the gcc trace"); // panic-audited: paper trace sets always include gcc; documented panic
     let mut report = Report::new("warmup", "Warm-up: windowed misprediction over time (gcc)");
-    let window = (trace.conditional().count() as u64 / 40).max(1_000);
+    let window = (trace.len() as u64 / 40).max(1_000);
     report.note(format!("Window: {window} conditional branches."));
     let curve_of = |spec: &PredictorSpec| {
         store::cached_f64s(JobSpec::warmup(spec, window).job(trace.digest()), || {

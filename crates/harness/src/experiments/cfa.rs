@@ -64,7 +64,7 @@ pub fn cfa_report(set: &TraceSet) -> Report {
         // bound to (program digest, trace digest).
         let sites = store::cached_sites(
             JobSpec::cfa(bpred_cfa::program_digest(&program)).job(trace.digest()),
-            || bpred_trace::site_table(trace),
+            || trace.site_table(),
         );
         kernels.push(Kernel {
             name: w.name(),
@@ -336,9 +336,6 @@ pub fn cfa_bias(set: &TraceSet) -> Report {
         let Some(program) = sim_kernel_program(w.name(), set.scale()) else {
             continue;
         };
-        let Some(packed) = set.packed(w.name()) else {
-            continue;
-        };
         kernels += 1;
         let analysis = bpred_cfa::analyze(&program);
         for spec_text in ALIAS_SPECS {
@@ -350,7 +347,7 @@ pub fn cfa_bias(set: &TraceSet) -> Report {
             // (spec fingerprint, trace digest) point.
             let mut rows =
                 store::cached_site_misses(JobSpec::site_misses(&spec).job(trace.digest()), || {
-                    crate::engine::site_miss_table(packed, &spec)
+                    crate::engine::site_miss_table(trace, &spec)
                 });
             rows.sort_by(|a, b| {
                 b.mispredictions
@@ -488,6 +485,19 @@ mod tests {
             assert!(
                 report.sections.iter().any(|(c, _)| c.contains(spec)),
                 "missing alias section for {spec}"
+            );
+        }
+    }
+
+    #[test]
+    fn packed_site_tables_match_the_source_traces() {
+        for (w, packed) in sim_set().entries() {
+            let trace = w.trace(Scale::Smoke);
+            assert_eq!(
+                packed.site_table(),
+                bpred_trace::site_table(&trace),
+                "{}",
+                w.name()
             );
         }
     }

@@ -2,7 +2,7 @@
 
 use bpred_analysis::Analysis;
 use bpred_core::{BiMode, BiModeConfig, Gshare, PredictorSpec};
-use bpred_trace::Trace;
+use bpred_trace::PackedTrace;
 use bpred_workloads::Suite;
 
 use crate::experiments::{kib, pct};
@@ -13,7 +13,7 @@ use crate::traces::TraceSet;
 
 /// A two-pass gshare(`s`, `m`) analysis, served from the result store
 /// when the (spec, trace) job is warm.
-fn gshare_analysis(trace: &Trace, table_bits: u32, history_bits: u32) -> Analysis {
+fn gshare_analysis(trace: &PackedTrace, table_bits: u32, history_bits: u32) -> Analysis {
     let spec = PredictorSpec::Gshare {
         table_bits,
         history_bits,
@@ -24,7 +24,7 @@ fn gshare_analysis(trace: &Trace, table_bits: u32, history_bits: u32) -> Analysi
 }
 
 /// A two-pass paper-default bi-mode analysis, store-served when warm.
-fn bimode_analysis(trace: &Trace, direction_bits: u32) -> Analysis {
+fn bimode_analysis(trace: &PackedTrace, direction_bits: u32) -> Analysis {
     let config = BiModeConfig::paper_default(direction_bits);
     let spec = PredictorSpec::BiMode(config);
     store::cached_analysis(JobSpec::twopass(&spec).job(trace.digest()), || {
@@ -58,7 +58,7 @@ pub fn fig2(set: &TraceSet, jobs: Option<usize>) -> Report {
         (Suite::SpecInt95, "CINT95-AVERAGE"),
         (Suite::IbsUltrix, "IBS-AVERAGE"),
     ] {
-        let traces = set.suite_packed(suite);
+        let traces: Vec<&PackedTrace> = set.suite(suite).map(|(_, t)| t).collect();
         let points = sweep::sweep_all(&traces, jobs);
         report.section(label, curve_table(&points));
 
@@ -112,8 +112,8 @@ pub fn fig34(set: &TraceSet, suite: Suite, jobs: Option<usize>) -> Report {
         "gshare.best uses the configuration that wins the suite average, \
          applied to each benchmark (as in the paper), not a per-benchmark best.",
     );
-    let names: Vec<&str> = set.suite(suite).map(|(w, _)| w.name()).collect();
-    let traces = set.suite_packed(suite);
+    let (names, traces): (Vec<&str>, Vec<&PackedTrace>) =
+        set.suite(suite).map(|(w, t)| (w.name(), t)).unzip();
     let points = sweep::sweep_all(&traces, jobs);
     for (i, name) in names.iter().enumerate() {
         let mut t = Table::new(["scheme", "config", "size KB", "misprediction %"]);

@@ -5,7 +5,7 @@
 
 use bpred_analysis::{AliasReport, Analysis};
 use bpred_core::{BiModeConfig, PredictorSpec};
-use bpred_trace::{PackedTrace, Trace};
+use bpred_trace::PackedTrace;
 use bpred_workloads::Suite;
 
 use crate::experiments::pct;
@@ -29,14 +29,14 @@ fn average_rate(traces: &[&PackedTrace], spec: &PredictorSpec) -> f64 {
 }
 
 /// A two-pass analysis job, served from the result store when warm.
-fn analysis_of(trace: &Trace, spec: &PredictorSpec) -> Analysis {
+fn analysis_of(trace: &PackedTrace, spec: &PredictorSpec) -> Analysis {
     store::cached_analysis(JobSpec::twopass(spec).job(trace.digest()), || {
         Analysis::run(trace, || spec.build())
     })
 }
 
 /// An alias-taxonomy job, served from the result store when warm.
-fn alias_of(trace: &Trace, spec: &PredictorSpec) -> AliasReport {
+fn alias_of(trace: &PackedTrace, spec: &PredictorSpec) -> AliasReport {
     store::cached_alias(JobSpec::alias(spec).job(trace.digest()), || {
         AliasReport::measure(trace, || spec.build())
     })
@@ -87,11 +87,11 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
     report.note(format!("Scale: {}.", set.scale()));
     let mut board = Scoreboard::new();
 
-    let spec = set.suite_packed(Suite::SpecInt95);
-    let ibs = set.suite_packed(Suite::IbsUltrix);
+    let traces_of = |suite| -> Vec<&PackedTrace> { set.suite(suite).map(|(_, t)| t).collect() };
+    let spec = traces_of(Suite::SpecInt95);
+    let ibs = traces_of(Suite::IbsUltrix);
     let gcc = set.trace("gcc").expect("summary needs gcc"); // panic-audited: paper trace sets always include gcc; documented panic
     let go = set.trace("go").expect("summary needs go"); // panic-audited: paper trace sets always include go; documented panic
-    let go_packed = set.packed("go").expect("summary needs go"); // panic-audited: paper trace sets always include go; documented panic
 
     // -- Figure 2: bi-mode vs the next-smaller best gshare, per suite --
     for (suite_name, traces) in [("SPEC", &spec), ("IBS", &ibs)] {
@@ -134,9 +134,7 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
         history_bits: 10,
     };
     let mut rates: Vec<(&str, f64)> = set
-        .packed_entries()
-        .into_iter()
-        .filter(|(w, _)| w.suite() == Suite::SpecInt95)
+        .suite(Suite::SpecInt95)
         .map(|(w, t)| (w.name(), rate_of(t, &gshare_12_10)))
         .collect();
     rates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite")); // panic-audited: misprediction rates are finite ratios, never NaN
@@ -240,11 +238,11 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
 
     // -- §5 future work: tri-mode helps on go --
     let bi_go = average_rate(
-        &[go_packed],
+        &[go],
         &PredictorSpec::BiMode(BiModeConfig::paper_default(10)),
     );
     let tri_go = average_rate(
-        &[go_packed],
+        &[go],
         &PredictorSpec::TriMode {
             direction_bits: 10,
             choice_bits: 10,

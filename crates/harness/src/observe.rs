@@ -240,12 +240,11 @@ mod tests {
                 Some(1),
             )
         });
-        let rates = obs.stage("drive", || {
-            crate::engine::batch_rates(&set.all_packed(), Some(1), 2, || {
-                vec![bpred_core::Gshare::new(6, 6), bpred_core::Gshare::new(6, 0)]
-            })
+        let results = obs.stage("drive", || {
+            let mut batch = [bpred_core::Gshare::new(6, 6), bpred_core::Gshare::new(6, 0)];
+            bpred_analysis::measure_batch(set.all_packed()[0], &mut batch)
         });
-        assert_eq!(rates.len(), 2);
+        assert_eq!(results.len(), 2);
         assert_eq!(obs.stages().len(), 2);
         let traces = &obs.stages()[0];
         assert_eq!(traces.name, "traces");

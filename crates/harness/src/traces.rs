@@ -3,18 +3,20 @@
 //! Workload traces are deterministic, so they are generated once per
 //! (workload, scale) and cached — in memory within a `TraceSet`, and
 //! optionally on disk in the binary codec so repeated `repro`
-//! invocations skip regeneration. Each `TraceSet` also lazily builds
-//! the packed (SoA) view of every trace, shared by all the batched
-//! experiments of a run.
+//! invocations skip regeneration. The harness holds every trace in one
+//! form only, the packed (SoA) [`PackedTrace`]: a cache hit streams the
+//! file straight into a [`PackedTraceBuilder`], and a miss packs the
+//! generated trace and drops its array-of-structs form, so no `Trace`
+//! outlives [`load_trace`].
 
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Write};
-use std::path::PathBuf;
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 
-use bpred_trace::{PackedTrace, Trace};
+use bpred_trace::{PackedTrace, PackedTraceBuilder, Trace};
 use bpred_workloads::{Scale, Suite, Workload};
 
 use crate::parallel;
@@ -28,22 +30,25 @@ const CACHE_VERSION: u32 = 5;
 
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+/// Packed traces built, one per [`load_trace`] call: streamed from a
+/// cache hit or packed from a generated trace.
 static PACKS_BUILT: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time reading of the process-wide trace-cache counters.
 ///
 /// A *hit* is a trace served from the on-disk cache; a *miss* is a
 /// trace generated from its workload kernel (whether or not a cache
-/// write followed); a *pack* is one SoA packed view built from a
-/// trace. Counters are monotone; attribute work to a stage by
-/// differencing two snapshots with [`CacheCounters::since`].
+/// write followed); a *pack* is one [`PackedTrace`] built by
+/// [`load_trace`], so every load counts one. Counters are monotone;
+/// attribute work to a stage by differencing two snapshots with
+/// [`CacheCounters::since`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheCounters {
     /// Traces loaded from the on-disk cache.
     pub hits: u64,
     /// Traces regenerated from their workload kernels.
     pub misses: u64,
-    /// Packed (SoA) trace views built.
+    /// Packed (SoA) traces built.
     pub packs_built: u64,
 }
 
@@ -72,12 +77,11 @@ pub fn cache_counters() -> CacheCounters {
     }
 }
 
-/// The traces of a set of workloads at one scale.
+/// The packed traces of a set of workloads at one scale.
 #[derive(Debug)]
 pub struct TraceSet {
     scale: Scale,
-    entries: Vec<(Workload, Trace)>,
-    packed: Vec<OnceLock<PackedTrace>>,
+    entries: Vec<(Workload, PackedTrace)>,
 }
 
 /// Where on-disk trace caching lives, if enabled.
@@ -119,7 +123,7 @@ fn cached_path(workload: &Workload, scale: Scale) -> Option<PathBuf> {
 /// temp file behind) and concurrent writers of the same trace race
 /// harmlessly — renames are atomic and both sides wrote identical
 /// bytes.
-fn write_cache_atomically(trace: &Trace, path: &PathBuf) {
+fn write_cache_atomically(trace: &Trace, path: &Path) {
     static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
     let tmp = path.with_extension(format!(
         "tmp.{}.{}",
@@ -136,47 +140,58 @@ fn write_cache_atomically(trace: &Trace, path: &PathBuf) {
     }
 }
 
-/// Generates (or loads from cache) one workload trace.
-#[must_use]
-pub fn load_trace(workload: &Workload, scale: Scale) -> Trace {
-    if let Some(path) = cached_path(workload, scale) {
-        if let Ok(file) = File::open(&path) {
-            if let Ok(trace) = bpred_trace::read_binary(BufReader::new(file)) {
-                CACHE_HITS.fetch_add(1, Ordering::Relaxed); // ordering-audited: statistic, see `cache_counters`
-                return trace;
+/// Streams a binary-codec trace into a [`PackedTraceBuilder`], or
+/// `None` if the bytes do not decode. Nothing is sized from the
+/// header's record count, so a lying header costs only the bytes that
+/// are really there.
+fn stream_packed(reader: impl Read) -> Option<PackedTrace> {
+    let stream = bpred_trace::stream_binary(reader).ok()?;
+    let mut builder = PackedTraceBuilder::new(stream.name());
+    for record in stream {
+        builder.append(&record.ok()?).ok()?;
+    }
+    Some(builder.finish())
+}
+
+/// Loads one workload's packed trace through the cache file at `path`
+/// (`None`: caching disabled), returning it and whether the file
+/// served it. A file that fails to decode is removed and the trace is
+/// regenerated; a regenerated trace is written back atomically, packed,
+/// and dropped.
+fn load_through(path: Option<&Path>, workload: &Workload, scale: Scale) -> (PackedTrace, bool) {
+    if let Some(path) = path {
+        if let Ok(file) = File::open(path) {
+            if let Some(packed) = stream_packed(BufReader::new(file)) {
+                return (packed, true);
             }
             // Corrupt cache entry: fall through and regenerate.
-            fs::remove_file(&path).ok();
+            fs::remove_file(path).ok();
         }
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed); // ordering-audited: statistic, see `cache_counters`
-        let trace = workload.trace(scale);
-        write_cache_atomically(&trace, &path);
-        return trace;
     }
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed); // ordering-audited: statistic, see `cache_counters`
-    workload.trace(scale)
+    let trace = workload.trace(scale);
+    if let Some(path) = path {
+        write_cache_atomically(&trace, path);
+    }
+    let packed = PackedTrace::build(&trace).expect("workload site tables fit 32-bit ids"); // panic-audited: synthetic workloads have far fewer than 2^32 branch sites
+    (packed, false)
+}
+
+/// Loads one workload's trace from the cache, or generates it, packed.
+#[must_use]
+pub fn load_trace(workload: &Workload, scale: Scale) -> PackedTrace {
+    let (packed, hit) = load_through(cached_path(workload, scale).as_deref(), workload, scale);
+    let counter = if hit { &CACHE_HITS } else { &CACHE_MISSES };
+    counter.fetch_add(1, Ordering::Relaxed); // ordering-audited: statistic, see `cache_counters`
+    PACKS_BUILT.fetch_add(1, Ordering::Relaxed); // ordering-audited: statistic, see `cache_counters`
+    packed
 }
 
 impl TraceSet {
-    /// Generates the traces of both paper suites (SPEC CINT95 and
-    /// IBS-Ultrix) in parallel.
-    #[must_use]
-    pub fn paper_suites(scale: Scale, jobs: Option<usize>) -> Self {
-        let mut workloads = Workload::suite_workloads(Suite::SpecInt95);
-        workloads.extend(Workload::suite_workloads(Suite::IbsUltrix));
-        Self::of(workloads, scale, jobs)
-    }
-
-    /// Generates the traces of the given workloads in parallel.
+    /// Loads the traces of the given workloads in parallel.
     #[must_use]
     pub fn of(workloads: Vec<Workload>, scale: Scale, jobs: Option<usize>) -> Self {
         let entries = parallel::map(workloads, jobs, |w| (*w, load_trace(w, scale)));
-        let packed = entries.iter().map(|_| OnceLock::new()).collect();
-        Self {
-            scale,
-            entries,
-            packed,
-        }
+        Self { scale, entries }
     }
 
     /// The scale the traces were generated at.
@@ -187,73 +202,51 @@ impl TraceSet {
 
     /// All (workload, trace) pairs, in registry order.
     #[must_use]
-    pub fn entries(&self) -> &[(Workload, Trace)] {
+    pub fn entries(&self) -> &[(Workload, PackedTrace)] {
         &self.entries
     }
 
     /// The entries belonging to one suite.
-    pub fn suite(&self, suite: Suite) -> impl Iterator<Item = &(Workload, Trace)> {
+    pub fn suite(&self, suite: Suite) -> impl Iterator<Item = &(Workload, PackedTrace)> {
         self.entries.iter().filter(move |(w, _)| w.suite() == suite)
     }
 
     /// Looks up one workload's trace by name.
     #[must_use]
-    pub fn trace(&self, name: &str) -> Option<&Trace> {
+    pub fn trace(&self, name: &str) -> Option<&PackedTrace> {
         self.entries
             .iter()
             .find(|(w, _)| w.name() == name)
             .map(|(_, t)| t)
     }
 
-    fn packed_at(&self, index: usize) -> &PackedTrace {
-        self.packed[index].get_or_init(|| {
-            PACKS_BUILT.fetch_add(1, Ordering::Relaxed); // ordering-audited: statistic, see `cache_counters`
-            PackedTrace::build(&self.entries[index].1).expect("workload site tables fit 32-bit ids")
-            // panic-audited: synthetic workloads have far fewer than 2^32 branch sites
-        })
-    }
-
-    /// The packed (SoA) view of one workload's trace, built on first
-    /// use and shared for the lifetime of the set.
-    #[must_use]
-    pub fn packed(&self, name: &str) -> Option<&PackedTrace> {
-        self.entries
-            .iter()
-            .position(|(w, _)| w.name() == name)
-            .map(|i| self.packed_at(i))
-    }
-
-    /// Packed views of one suite's traces, in registry order.
-    #[must_use]
-    pub fn suite_packed(&self, suite: Suite) -> Vec<&PackedTrace> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, (w, _))| w.suite() == suite)
-            .map(|(i, _)| self.packed_at(i))
-            .collect()
-    }
-
-    /// Packed views of every trace, in registry order.
+    /// Every trace, in registry order.
     #[must_use]
     pub fn all_packed(&self) -> Vec<&PackedTrace> {
-        (0..self.entries.len()).map(|i| self.packed_at(i)).collect()
-    }
-
-    /// All (workload, packed trace) pairs, in registry order.
-    #[must_use]
-    pub fn packed_entries(&self) -> Vec<(Workload, &PackedTrace)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .map(|(i, (w, _))| (*w, self.packed_at(i)))
-            .collect()
+        self.entries.iter().map(|(_, t)| t).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A directory of this test's own: the process-wide cache directory
+    /// is shared by every test in this binary, which run concurrently.
+    fn private_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bpred-tc-{tag}-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    fn temp_files(dir: &Path) -> Vec<PathBuf> {
+        fs::read_dir(dir)
+            .expect("readable dir")
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.to_string_lossy().contains(".tmp."))
+            .collect()
+    }
 
     #[test]
     fn loads_and_caches_a_trace() {
@@ -266,6 +259,57 @@ mod tests {
         let b = load_trace(&w, Scale::Smoke);
         assert_eq!(a, b, "cache round-trip must be lossless");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cold_and_warm_loads_pack_every_workload_identically() {
+        let dir = private_dir("loads");
+        for w in Workload::all() {
+            let want = PackedTrace::build(&w.trace(Scale::Smoke)).expect("packs");
+            let path = dir.join(format!("{}.bptr", w.name()));
+            let (cold, hit) = load_through(Some(&path), &w, Scale::Smoke);
+            assert!(!hit, "{}: an empty cache generates", w.name());
+            assert_eq!(cold, want, "{}: generated", w.name());
+            let (warm, hit) = load_through(Some(&path), &w, Scale::Smoke);
+            assert!(hit, "{}: the written cache serves", w.name());
+            assert_eq!(warm, want, "{}: streamed from the cache", w.name());
+        }
+        assert!(temp_files(&dir).is_empty());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_cache_files_regenerate_as_one_miss() {
+        let w = Workload::by_name("compress").expect("registered");
+        let trace = w.trace(Scale::Smoke);
+        let want = PackedTrace::build(&trace).expect("packs");
+        let mut good = Vec::new();
+        bpred_trace::write_binary(&trace, &mut good).expect("encodes");
+        // magic, version, name length, name, record count.
+        let body = 4 + 1 + 4 + trace.name().len() + 8;
+        let mut cut = good.clone();
+        cut.truncate(body + 17 * 10 + 5);
+        let mut bad_kind = good.clone();
+        bad_kind[body + 16] = 7 << 1;
+        let mut oversized = good;
+        oversized[body - 8..body].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+
+        let dir = private_dir("corrupt");
+        let path = dir.join("compress.bptr");
+        for (case, bytes) in [
+            ("cut", cut),
+            ("bad kind", bad_kind),
+            ("oversized", oversized),
+        ] {
+            fs::write(&path, bytes).expect("write corrupt cache");
+            let (packed, hit) = load_through(Some(&path), &w, Scale::Smoke);
+            assert!(!hit, "{case}: a corrupt file is a miss");
+            assert_eq!(packed, want, "{case}: regenerated");
+            assert!(temp_files(&dir).is_empty(), "{case}: temp files left");
+            let (again, hit) = load_through(Some(&path), &w, Scale::Smoke);
+            assert!(hit && again == want, "{case}: the rewritten cache serves");
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -289,7 +333,7 @@ mod tests {
     #[test]
     fn concurrent_loads_agree_and_leave_no_temp_files() {
         let w = Workload::by_name("groff").expect("registered");
-        let traces: Vec<Trace> = std::thread::scope(|s| {
+        let traces: Vec<PackedTrace> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| s.spawn(|| load_trace(&w, Scale::Smoke)))
                 .collect();
@@ -305,19 +349,12 @@ mod tests {
             );
         }
         if let Some(dir) = cache_dir() {
-            let leftovers: Vec<PathBuf> = fs::read_dir(dir)
-                .map(|it| {
-                    it.filter_map(Result::ok)
-                        .map(|e| e.path())
-                        // Scope to this test's workload: other tests
-                        // write the shared dir concurrently.
-                        .filter(|p| {
-                            let name = p.to_string_lossy().into_owned();
-                            name.contains("groff") && name.contains(".tmp.")
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
+            // Scope to this test's workload: other tests write the
+            // shared dir concurrently.
+            let leftovers: Vec<PathBuf> = temp_files(&dir)
+                .into_iter()
+                .filter(|p| p.to_string_lossy().contains("groff"))
+                .collect();
             assert!(
                 leftovers.is_empty(),
                 "temp files must not survive: {leftovers:?}"
@@ -346,16 +383,14 @@ mod tests {
         let w = Workload::by_name("compress").expect("registered");
         let before = cache_counters();
         let _ = load_trace(&w, Scale::Smoke);
-        let set = TraceSet::of(vec![w], Scale::Smoke, Some(1));
-        let _ = set.packed("compress");
-        let _ = set.packed("compress"); // lazy: second use builds nothing
+        let _ = TraceSet::of(vec![w], Scale::Smoke, Some(1));
         let delta = cache_counters().since(&before);
         // Other tests share the process-wide counters, so assert floors.
         assert!(
             delta.hits + delta.misses >= 2,
             "two loads must be counted: {delta:?}"
         );
-        assert!(delta.packs_built >= 1, "one pack built: {delta:?}");
+        assert!(delta.packs_built >= 2, "one pack per load: {delta:?}");
     }
 
     #[test]
@@ -368,31 +403,13 @@ mod tests {
             Scale::Smoke,
             Some(2),
         );
-        assert!(set.trace("compress").is_some());
+        let compress = set.trace("compress").expect("present");
+        assert_eq!(compress.name(), "compress");
         assert!(set.trace("nope").is_none());
         assert_eq!(set.suite(Suite::SpecInt95).count(), 1);
         assert_eq!(set.suite(Suite::IbsUltrix).count(), 1);
         assert_eq!(set.scale(), Scale::Smoke);
-    }
-
-    #[test]
-    fn packed_views_mirror_the_traces() {
-        let set = TraceSet::of(
-            vec![
-                Workload::by_name("compress").unwrap(),
-                Workload::by_name("groff").unwrap(),
-            ],
-            Scale::Smoke,
-            Some(2),
-        );
-        let p = set.packed("compress").expect("present");
-        let t = set.trace("compress").expect("present");
-        assert_eq!(p.len() as u64, t.stats().dynamic_conditional);
-        // The lazy cell hands back the same instance on reuse.
-        assert!(std::ptr::eq(p, set.packed("compress").unwrap()));
-        assert!(set.packed("nope").is_none());
-        assert_eq!(set.all_packed().len(), 2);
-        assert_eq!(set.suite_packed(Suite::SpecInt95).len(), 1);
-        assert_eq!(set.packed_entries().len(), 2);
+        assert_eq!(set.entries().len(), 2);
+        assert!(std::ptr::eq(set.all_packed()[0], compress));
     }
 }

@@ -33,13 +33,12 @@
 //! [`PackedTraceBuilder`]: records are appended in arrival order, the
 //! per-record columns seal in fixed-size blocks of [`SEAL_RECORDS`]
 //! (a sealed block's bytes never change again), and a running
-//! [`TraceDigest`] identifies the stream so far. [`PackedTraceBuilder::finish`]
-//! yields a `PackedTrace` byte-identical to [`PackedTrace::build`] over
-//! the same record sequence.
+//! [`TraceDigest`] identifies the stream so far. [`PackedTrace::build`]
+//! is the same builder fed a whole [`Trace`].
 
 use crate::digest::TraceDigest;
 use crate::record::{BranchKind, BranchRecord};
-use crate::stats::{BiasBucket, TraceStats};
+use crate::stats::{SiteSummary, TraceStats};
 use crate::trace::Trace;
 
 /// Error produced when a trace cannot be packed.
@@ -106,12 +105,6 @@ struct BitColumn {
 }
 
 impl BitColumn {
-    fn with_capacity(bits: usize) -> Self {
-        Self {
-            words: Vec::with_capacity(bits.div_ceil(WORD_BITS)),
-        }
-    }
-
     fn push(&mut self, index: usize, bit: bool) {
         if index.is_multiple_of(WORD_BITS) {
             self.words.push(0);
@@ -163,50 +156,17 @@ pub struct PackedTrace {
 }
 
 impl PackedTrace {
-    /// Packs the conditional branches of `trace`.
+    /// Packs the conditional branches of `trace` through a
+    /// [`PackedTraceBuilder`].
     ///
     /// # Errors
     ///
     /// Returns [`PackError::TooManySites`] if the trace has more than
     /// `u32::MAX` distinct conditional branch sites.
     pub fn build(trace: &Trace) -> Result<Self, PackError> {
-        let mut site_ids: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        let mut site_pcs = Vec::new();
-        let conditional_hint = trace
-            .records()
-            .iter()
-            .filter(|r| r.kind == BranchKind::Conditional)
-            .count();
-        let mut sites = Vec::with_capacity(conditional_hint);
-        let mut outcomes = BitColumn::with_capacity(conditional_hint);
-        let mut backward = BitColumn::with_capacity(conditional_hint);
-        for r in trace.conditional() {
-            let id = match site_ids.get(&r.pc) {
-                Some(&id) => id,
-                None => {
-                    let id =
-                        u32::try_from(site_pcs.len()).map_err(|_| PackError::TooManySites {
-                            sites: site_pcs.len() as u64 + 1,
-                        })?;
-                    site_ids.insert(r.pc, id);
-                    site_pcs.push(r.pc);
-                    id
-                }
-            };
-            let index = sites.len();
-            sites.push(id);
-            outcomes.push(index, r.taken);
-            backward.push(index, r.is_backward());
-        }
-        Ok(Self {
-            name: trace.name().to_owned(),
-            sites,
-            outcomes,
-            backward,
-            site_pcs,
-            stats: trace.stats(),
-            digest: trace.digest(),
-        })
+        let mut builder = PackedTraceBuilder::new(trace.name());
+        builder.append_all(trace.records())?;
+        Ok(builder.finish())
     }
 
     /// The workload name of the source trace.
@@ -274,6 +234,14 @@ impl PackedTrace {
         (0..self.len()).map(|i| self.record(i))
     }
 
+    /// Per-site summary table, sorted by PC: the
+    /// [`site_table`](crate::site_table) aggregation over the packed
+    /// columns, equal to that of the source trace.
+    #[must_use]
+    pub fn site_table(&self) -> Vec<SiteSummary> {
+        crate::stats::tally_sites(self.records().map(|r| (r.pc, r.taken)))
+    }
+
     /// Approximate resident bytes of the packed per-record columns
     /// (site ids + two bit columns), the engine's hot working set.
     #[must_use]
@@ -301,14 +269,13 @@ pub const SEAL_RECORDS: usize = 4096;
 
 /// Chunked [`PackedTrace`] construction for piecewise trace ingestion.
 ///
-/// [`PackedTrace::build`] needs the whole [`Trace`] in memory; the
-/// builder accepts records one chunk at a time — from a socket, a file
-/// reader, or a generator — while maintaining exactly the state the
-/// one-shot path derives at the end: the deduplicated site table, the
-/// bit-packed outcome/backwardness columns, per-site outcome tallies
-/// (for [`TraceStats`]), and a running [`TraceDigest`] over *every*
-/// record seen (all kinds, like [`Trace::digest`], so a streamed trace
-/// keys the result store identically to its in-memory twin).
+/// The builder accepts records one chunk at a time — from a socket, a
+/// file reader, or a generator; [`PackedTrace::build`] feeds it a whole
+/// [`Trace`]. It keeps the deduplicated site table, the bit-packed
+/// outcome/backwardness columns, per-site outcome tallies (for
+/// [`TraceStats`]), and a running [`TraceDigest`] over *every* record
+/// seen (all kinds, like [`Trace::digest`], so a streamed trace keys
+/// the result store identically to its in-memory twin).
 ///
 /// ```
 /// use bpred_trace::{BranchRecord, PackedTrace, PackedTraceBuilder, Trace};
@@ -334,9 +301,8 @@ pub struct PackedTraceBuilder {
     sites: Vec<u32>,
     outcomes: BitColumn,
     backward: BitColumn,
-    /// Per-site (taken, executions) tallies, indexed by site id: the
-    /// incremental form of the one-shot path's end-of-build
-    /// [`TraceStats`] measurement.
+    /// Per-site (taken, executions) tallies, indexed by site id, from
+    /// which [`Self::finish`] derives the [`TraceStats`].
     site_outcomes: Vec<(u64, u64)>,
     digest: TraceDigest,
     records_seen: u64,
@@ -458,25 +424,19 @@ impl PackedTraceBuilder {
         self.digest.finish()
     }
 
-    /// Seals the tail and returns the finished [`PackedTrace`] —
-    /// field-for-field identical to [`PackedTrace::build`] over the
-    /// same record sequence.
+    /// Seals the tail and returns the finished [`PackedTrace`].
     #[must_use]
     pub fn finish(self) -> PackedTrace {
-        let mut stats = TraceStats {
-            static_conditional: self.site_pcs.len(),
-            dynamic_total: self.records_seen,
-            ..TraceStats::default()
-        };
-        for &(taken, executions) in &self.site_outcomes {
-            stats.dynamic_conditional += executions;
-            stats.taken += taken;
-            match BiasBucket::of(taken, executions) {
-                BiasBucket::StronglyTaken => stats.from_strongly_taken += executions,
-                BiasBucket::StronglyNotTaken => stats.from_strongly_not_taken += executions,
-                BiasBucket::WeaklyBiased => stats.from_weakly_biased += executions,
-            }
-        }
+        let sites =
+            self.site_pcs
+                .iter()
+                .zip(&self.site_outcomes)
+                .map(|(&pc, &(taken, executions))| SiteSummary {
+                    pc,
+                    executions,
+                    taken,
+                });
+        let stats = TraceStats::from_sites(self.records_seen, sites);
         PackedTrace {
             name: self.name,
             sites: self.sites,
@@ -568,6 +528,17 @@ mod tests {
         let t = sample();
         let p = PackedTrace::build(&t).unwrap();
         assert_eq!(*p.stats(), t.stats());
+    }
+
+    #[test]
+    fn site_table_matches_source_trace() {
+        let t = sample();
+        let p = PackedTrace::build(&t).unwrap();
+        assert_eq!(p.site_table(), crate::site_table(&t));
+        assert!(PackedTrace::build(&Trace::new("e"))
+            .unwrap()
+            .site_table()
+            .is_empty());
     }
 
     #[test]

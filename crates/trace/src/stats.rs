@@ -5,7 +5,6 @@
 
 use std::collections::HashMap;
 
-use crate::record::BranchKind;
 use crate::trace::Trace;
 
 /// Per-branch bias buckets used in the distribution summary.
@@ -58,16 +57,22 @@ impl SiteSummary {
 /// PC: one row per static site with its execution count, taken count,
 /// and (via [`SiteSummary::bucket`]) bias class at the paper's 90%
 /// threshold. Shared by the bias experiments and the static/dynamic
-/// cross-check in `cfa.report`.
+/// cross-check in `cfa.report`; [`PackedTrace::site_table`] is the
+/// same aggregation over the packed columns.
+///
+/// [`PackedTrace::site_table`]: crate::PackedTrace::site_table
 #[must_use]
 pub fn site_table(trace: &Trace) -> Vec<SiteSummary> {
+    tally_sites(trace.conditional().map(|r| (r.pc, r.taken)))
+}
+
+/// The one per-site aggregation: `(pc, taken)` outcomes of conditional
+/// branches tallied per PC, sorted by PC.
+pub(crate) fn tally_sites(outcomes: impl Iterator<Item = (u64, bool)>) -> Vec<SiteSummary> {
     let mut per_branch: HashMap<u64, (u64, u64)> = HashMap::new();
-    for r in trace.iter() {
-        if r.kind != BranchKind::Conditional {
-            continue;
-        }
-        let e = per_branch.entry(r.pc).or_insert((0, 0));
-        e.0 += u64::from(r.taken);
+    for (pc, taken) in outcomes {
+        let e = per_branch.entry(pc).or_insert((0, 0));
+        e.0 += u64::from(taken);
         e.1 += 1;
     }
     let mut sites: Vec<SiteSummary> = per_branch
@@ -107,13 +112,21 @@ impl TraceStats {
     /// so this summary and the per-site view can never disagree.
     #[must_use]
     pub fn measure(trace: &Trace) -> Self {
+        Self::from_sites(trace.len() as u64, site_table(trace))
+    }
+
+    /// The summary of a trace of `dynamic_total` records of any kind
+    /// whose conditional sites tally to `sites`.
+    pub(crate) fn from_sites(
+        dynamic_total: u64,
+        sites: impl IntoIterator<Item = SiteSummary>,
+    ) -> Self {
         let mut stats = TraceStats {
-            dynamic_total: trace.len() as u64,
+            dynamic_total,
             ..Self::default()
         };
-        let sites = site_table(trace);
-        stats.static_conditional = sites.len();
-        for site in &sites {
+        for site in sites {
+            stats.static_conditional += 1;
             stats.dynamic_conditional += site.executions;
             stats.taken += site.taken;
             match site.bucket() {

@@ -7,7 +7,7 @@
 use bpred_analysis::{measure, Analysis};
 use bpred_core::{BiMode, BiModeConfig, Gshare};
 use bpred_sim::{assemble, Machine};
-use bpred_trace::Trace;
+use bpred_trace::{PackedTrace, Trace};
 use bpred_workloads::{site, Tracer};
 
 /// (a) An instrumented Rust workload: a toy hash-join whose probe
@@ -81,8 +81,9 @@ fn main() {
         println!("  gshare(10,10): {:>6.2}%", g.misprediction_percent());
         println!("  bi-mode(d=9):  {:>6.2}%", b.misprediction_percent());
 
-        // The Section 4 view of your own code.
-        let analysis = Analysis::run(&trace, || Gshare::new(8, 8));
+        // The Section 4 view of your own code, over its packed form.
+        let packed = PackedTrace::build(&trace).expect("site ids fit u32");
+        let analysis = Analysis::run(&packed, || Gshare::new(8, 8));
         let (dom, non, wb) = analysis.area_fractions();
         println!(
             "  substream areas under gshare(8,8): dominant {:.0}%, non-dominant {:.0}%, WB {:.0}%",

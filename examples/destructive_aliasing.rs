@@ -7,7 +7,7 @@
 
 use bpred_analysis::{measure, Analysis};
 use bpred_core::{BiMode, BiModeConfig, Gshare};
-use bpred_trace::{BranchRecord, Trace};
+use bpred_trace::{BranchRecord, PackedTrace, Trace};
 
 /// Builds a trace of two interleaved branches that share the low PC
 /// index bits of a 2^6-counter table: `a` always taken, `b` never.
@@ -45,8 +45,9 @@ fn main() {
     // Show *why* through the paper's Section 4 analysis: the gshare
     // counter is contested by an ST and an SNT substream, the bi-mode
     // counters are not.
-    let ga = Analysis::run(&trace, || Gshare::new(6, 0));
-    let ba = Analysis::run(&trace, || BiMode::new(BiModeConfig::new(6, 8, 0)));
+    let packed = PackedTrace::build(&trace).expect("two sites fit u32 ids");
+    let ga = Analysis::run(&packed, || Gshare::new(6, 0));
+    let ba = Analysis::run(&packed, || BiMode::new(BiModeConfig::new(6, 8, 0)));
     let contested = |a: &Analysis| {
         a.per_counter
             .iter()

@@ -2,11 +2,12 @@
 //! framework, the tracer feeding predictors, and the harness
 //! experiments running end to end at smoke scale.
 
-use bimode_repro::analysis::{measure, Analysis};
+use bimode_repro::analysis::{measure, measure_packed, Analysis};
 use bimode_repro::core::{Gshare, HistorySource, Predictor, TwoLevel};
 use bimode_repro::harness::experiments;
 use bimode_repro::harness::TraceSet;
 use bimode_repro::sim::{assemble, Machine};
+use bimode_repro::trace::PackedTrace;
 use bimode_repro::workloads::{site, Scale, Suite, Tracer, Workload};
 
 #[test]
@@ -27,7 +28,7 @@ fn isa_machine_traces_flow_through_analysis() {
     )
     .expect("assembles");
     let mut m = Machine::with_memory(program, 64);
-    let trace = m.run(1_000_000).expect("halts");
+    let trace = PackedTrace::build(&m.run(1_000_000).expect("halts")).unwrap();
 
     let analysis = Analysis::run(&trace, || Gshare::new(8, 4));
     // The inner-loop branch stream is ST-dominated overall.
@@ -97,7 +98,7 @@ fn suite_average_pipeline_matches_manual_computation() {
     let mut sum = 0.0;
     for t in &traces {
         p.reset();
-        sum += measure(t, &mut p).misprediction_rate();
+        sum += measure_packed(t, &mut p).misprediction_rate();
     }
     let manual = sum / traces.len() as f64;
     assert!(
@@ -109,7 +110,7 @@ fn suite_average_pipeline_matches_manual_computation() {
 #[test]
 fn sim_kernel_workloads_are_registered_and_analysable() {
     let w = Workload::by_name("sim-binary-search").expect("registered");
-    let trace = w.trace(Scale::Smoke);
+    let trace = PackedTrace::build(&w.trace(Scale::Smoke)).unwrap();
     let analysis = Analysis::run(&trace, || Gshare::new(10, 6));
     // Binary search compares are data-dependent: WB must be visible.
     let (_, _, wb) = analysis.area_fractions();
@@ -136,7 +137,7 @@ fn btfnt_exploits_backward_loop_branches_on_isa_traces() {
 #[test]
 fn alias_taxonomy_runs_on_real_workloads() {
     use bimode_repro::analysis::AliasReport;
-    let trace = Workload::by_name("gcc").unwrap().trace(Scale::Smoke);
+    let trace = PackedTrace::build(&Workload::by_name("gcc").unwrap().trace(Scale::Smoke)).unwrap();
     let gshare = AliasReport::measure(&trace, || Gshare::new(8, 8));
     assert!(
         gshare.counters_shared > 0,

@@ -5,7 +5,7 @@ use std::io::Cursor;
 
 use bimode_repro::analysis::{measure, Analysis};
 use bimode_repro::core::{BiMode, BiModeConfig, Gshare, Predictor, PredictorSpec};
-use bimode_repro::trace::{read_binary, read_text, write_binary, write_text};
+use bimode_repro::trace::{read_binary, read_text, write_binary, write_text, PackedTrace};
 use bimode_repro::workloads::{Scale, Suite, Workload};
 
 #[test]
@@ -62,11 +62,12 @@ fn text_codec_roundtrips_a_real_trace_prefix() {
 fn analysis_pass_agrees_with_plain_measurement_on_workloads() {
     for name in ["gcc", "go", "vortex"] {
         let trace = Workload::by_name(name).unwrap().trace(Scale::Smoke);
+        let packed = PackedTrace::build(&trace).unwrap();
         for make in [
             || -> Box<dyn Predictor> { Box::new(Gshare::new(9, 7)) },
             || -> Box<dyn Predictor> { Box::new(BiMode::new(BiModeConfig::paper_default(8))) },
         ] {
-            let analysis = Analysis::run(&trace, make);
+            let analysis = Analysis::run(&packed, make);
             let plain = measure(&trace, &mut make());
             assert_eq!(
                 analysis.run, plain,

@@ -15,6 +15,11 @@ fn suite_traces(suite: Suite) -> Vec<Trace> {
         .collect()
 }
 
+/// One workload's smoke trace in the packed form the analyses read.
+fn packed(name: &str) -> PackedTrace {
+    PackedTrace::build(&Workload::by_name(name).unwrap().trace(Scale::Smoke)).unwrap()
+}
+
 fn average_rate(traces: &[Trace], mut p: impl Predictor) -> f64 {
     let sum: f64 = traces
         .iter()
@@ -79,7 +84,7 @@ fn go_is_the_hardest_spec_benchmark() {
 /// weakly-biased class, so more history (not de-aliasing) is the fix.
 #[test]
 fn go_mispredictions_are_weakly_biased_and_history_helps() {
-    let t = Workload::by_name("go").unwrap().trace(Scale::Smoke);
+    let t = packed("go");
     let a = Analysis::run(&t, || Gshare::new(10, 10));
     assert!(
         a.breakdown.wb_percent() > a.breakdown.st_percent() + a.breakdown.snt_percent(),
@@ -130,7 +135,7 @@ fn compress_and_xlisp_have_the_fewest_statics() {
 /// history-indexed gshare while keeping the WB area comparable, on gcc.
 #[test]
 fn bimode_enlarges_dominant_area_on_gcc() {
-    let t = Workload::by_name("gcc").unwrap().trace(Scale::Smoke);
+    let t = packed("gcc");
     let gshare = Analysis::run(&t, || Gshare::new(8, 8));
     let bimode = Analysis::run(&t, || BiMode::new(BiModeConfig::paper_default(7)));
     let (dom_g, _, wb_g) = gshare.area_fractions();
@@ -149,7 +154,7 @@ fn bimode_enlarges_dominant_area_on_gcc() {
 /// history-indexed gshare on gcc.
 #[test]
 fn bimode_has_fewer_class_changes_on_gcc() {
-    let t = Workload::by_name("gcc").unwrap().trace(Scale::Smoke);
+    let t = packed("gcc");
     let gshare = Analysis::run(&t, || Gshare::new(8, 8));
     let bimode = Analysis::run(&t, || BiMode::new(BiModeConfig::paper_default(7)));
     assert!(
@@ -198,7 +203,7 @@ fn bimode_is_competitive_on_ibs_average() {
 #[test]
 fn bimode_reduces_destructive_alias_share_on_gcc() {
     use bimode_repro::analysis::AliasReport;
-    let t = Workload::by_name("gcc").unwrap().trace(Scale::Smoke);
+    let t = packed("gcc");
     let gshare = AliasReport::measure(&t, || Gshare::new(8, 8));
     let bimode = AliasReport::measure(&t, || BiMode::new(BiModeConfig::paper_default(7)));
     assert!(
