@@ -1,5 +1,6 @@
 //! Batched single-pass measurement over packed traces: the execution
-//! engine behind the harness sweeps.
+//! engine behind the harness's fallback batches (every rate point the
+//! bit-sliced engine cannot run, wrapped measurements included).
 //!
 //! The scalar [`measure`](crate::simulate::measure) loop walks the full
 //! trace once per predictor configuration; an N-configuration sweep
@@ -42,38 +43,6 @@ pub fn measure_packed<P: Predictor + ?Sized>(packed: &PackedTrace, predictor: &m
     session.finish()
 }
 
-/// Like [`measure_packed`], but resets the predictor every
-/// `flush_interval` branches — the packed counterpart of
-/// [`measure_with_flushes`](crate::simulate::measure_with_flushes).
-///
-/// Wrapper over [`PackedSession`]: feeds one `flush_interval`-sized
-/// window per chunk and resets the resumable predictor state between
-/// windows — the chunk boundary *is* the flush boundary.
-///
-/// # Panics
-///
-/// Panics if `flush_interval` is zero.
-pub fn measure_packed_with_flushes<P: Predictor + ?Sized>(
-    packed: &PackedTrace,
-    predictor: &mut P,
-    flush_interval: u64,
-) -> RunResult {
-    assert!(flush_interval > 0, "flush interval must be positive");
-    let interval = usize::try_from(flush_interval).unwrap_or(usize::MAX);
-    let mut session = PackedSession::<_, P>::new(predictor);
-    let len = packed.len();
-    let mut start = 0;
-    while start < len {
-        if start > 0 {
-            session.predictor_mut().reset();
-        }
-        let end = start.saturating_add(interval).min(len);
-        session.feed((start..end).map(|i| packed.record(i)));
-        start = end;
-    }
-    session.finish()
-}
-
 /// Drives every predictor in `predictors` over `packed` in one blocked
 /// pass, returning one [`RunResult`] per predictor in input order.
 ///
@@ -108,7 +77,7 @@ pub fn measure_batch<P: Predictor>(packed: &PackedTrace, predictors: &mut [P]) -
 mod tests {
     use super::*;
     use crate::simulate::{measure, measure_with_flushes};
-    use bpred_core::{AlwaysTaken, BiMode, BiModeConfig, Bimodal, Gshare, PredictorSpec};
+    use bpred_core::{BiMode, BiModeConfig, Bimodal, Flushed, Gshare, PredictorSpec};
     use bpred_trace::{BranchRecord, Trace};
 
     fn mixed_trace(len: u64) -> Trace {
@@ -210,19 +179,11 @@ mod tests {
                 &mut BiMode::new(BiModeConfig::paper_default(7)),
                 interval,
             );
-            let got = measure_packed_with_flushes(
+            let got = measure_packed(
                 &packed,
-                &mut BiMode::new(BiModeConfig::paper_default(7)),
-                interval,
+                &mut Flushed::new(BiMode::new(BiModeConfig::paper_default(7)), interval),
             );
             assert_eq!(want, got, "interval {interval}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "flush interval")]
-    fn zero_flush_interval_is_rejected() {
-        let packed = PackedTrace::build(&mixed_trace(10)).unwrap();
-        let _ = measure_packed_with_flushes(&packed, &mut AlwaysTaken, 0);
     }
 }

@@ -59,7 +59,7 @@ pub mod warmup;
 pub const ENGINE_EPOCH: u64 = 1;
 
 pub use aliasing::AliasReport;
-pub use batch::{measure_batch, measure_packed, measure_packed_with_flushes};
+pub use batch::{measure_batch, measure_packed};
 pub use bias::{BiasClass, StreamStats};
 pub use metrics::{DriveSnapshot, Engine, EngineDrive, EngineSnapshot};
 pub use session::{BatchSession, PackedSession, SlicedSession};

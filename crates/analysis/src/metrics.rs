@@ -2,15 +2,16 @@
 //! down by execution engine.
 //!
 //! Every measurement loop in this crate ([`measure`](crate::measure),
+//! [`measure_with_flushes`](crate::measure_with_flushes), the analysis
+//! loops, and the engine sessions behind
 //! [`measure_packed`](crate::measure_packed),
-//! [`measure_batch`](crate::measure_batch),
-//! [`measure_sliced`](crate::measure_sliced) and the flush variants)
-//! records, against its [`Engine`]: how many (lane, branch) pairs it
-//! simulated, how many predictor lanes it retired, and how long the
-//! loop itself ran (busy time). The counters are global, monotone,
-//! and lock-free; callers attribute work to a stage by taking an
-//! [`engine_snapshot`] before and after and differencing with
-//! [`EngineSnapshot::since`].
+//! [`measure_batch`](crate::measure_batch) and
+//! [`measure_sliced`](crate::measure_sliced)) records, against its
+//! [`Engine`]: how many (lane, branch) pairs it simulated, how many
+//! predictor lanes it retired, and how long the loop itself ran (busy
+//! time). The counters are global, monotone, and lock-free; callers
+//! attribute work to a stage by taking an [`engine_snapshot`] before
+//! and after and differencing with [`EngineSnapshot::since`].
 //!
 //! Accounting is **per lane retired, not per pass**: a batch pass
 //! driving 24 configurations records 24 lanes, a sliced pass over a
@@ -44,8 +45,10 @@ pub enum Engine {
     /// and two-pass analysis loops over a
     /// [`PackedTrace`](bpred_trace::PackedTrace).
     Scalar,
-    /// Per-config walks of a [`PackedTrace`](bpred_trace::PackedTrace):
-    /// [`measure_packed`](crate::measure_packed) and its flush variant.
+    /// Single-predictor [`PackedSession`](crate::PackedSession) walks
+    /// of a [`PackedTrace`](bpred_trace::PackedTrace):
+    /// [`measure_packed`](crate::measure_packed), per-site miss tables,
+    /// and the streaming service's tenant sessions.
     Packed,
     /// The blocked all-configs-in-one-pass loop
     /// [`measure_batch`](crate::measure_batch).

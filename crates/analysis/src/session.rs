@@ -1,10 +1,11 @@
 //! Incremental engine sessions: the `feed(chunk)` / `checkpoint()` /
 //! `finish()` seam under every measurement loop.
 //!
-//! The one-shot `measure_*` entry points take a whole [`PackedTrace`]
-//! and return finished results, which caps trace size at memory and
-//! rules out long-running service use. A *session* is the same engine
-//! with its state made explicit and resumable between chunks:
+//! The one-shot `measure_*` entry points take a whole
+//! [`PackedTrace`](bpred_trace::PackedTrace) and return finished
+//! results, which caps trace size at memory and rules out long-running
+//! service use. A *session* is the same engine with its state made
+//! explicit and resumable between chunks:
 //!
 //! * [`PackedSession`] — one predictor ([`crate::measure_packed`]'s
 //!   loop); the resumable state is the predictor itself (its history
@@ -12,7 +13,7 @@
 //! * [`BatchSession`] — N predictors in the records-outer /
 //!   predictors-inner schedule of [`crate::measure_batch`]; state is
 //!   the predictor batch plus one tally per configuration.
-//! * [`SlicedSession`] — up to [`MAX_LANES`](crate::MAX_LANES)
+//! * [`SlicedSession`] — up to [`MAX_LANES`]
 //!   gshare-family lanes over [`PlaneTable`] bit-planes
 //!   ([`crate::measure_sliced`]'s loop); state is the per-lane planes
 //!   and masks, the per-lane tallies, and the single **shared unmasked
@@ -152,12 +153,6 @@ where
             branches: self.branches,
             mispredictions: self.mispredictions,
         }
-    }
-
-    /// Mutable access to the resumable predictor state, for callers
-    /// that reset between measurement windows (the flushed variants).
-    pub fn predictor_mut(&mut self) -> &mut P {
-        self.predictor.borrow_mut()
     }
 
     /// Closes the session: records the engine drive (one lane, busy

@@ -1,20 +1,20 @@
 //! The bit-sliced execution engine: up to 64 predictor lanes advanced
-//! per trace pass through the [`PlaneTable`] word-wide counter
-//! transition.
+//! per trace pass through the [`PlaneTable`](bpred_core::PlaneTable)
+//! word-wide counter transition.
 //!
 //! # Lanes
 //!
 //! A *lane* is one gshare-family configuration — table index width `s`
 //! and history length `m <= s` — running against its own
-//! [`PlaneTable`]. Bimodal is the `m = 0` member of the family (the
-//! equivalence `bimodal(s) == gshare(s, 0)` is a `bpred-core`
-//! invariant), so a lane group can mix sweep sizes and history lengths
-//! freely. [`LaneSpec::of`] is the single classification point: specs
-//! it returns `None` for (bi-mode's cross-bank choice update, tagged
-//! and combining schemes, …) **must fall back** to the batch engine —
-//! the harness dispatch does so explicitly, and `bpred-check` audits
-//! the classification so a spec can never silently take the wrong
-//! path.
+//! [`PlaneTable`](bpred_core::PlaneTable). Bimodal is the `m = 0`
+//! member of the family (the equivalence `bimodal(s) == gshare(s, 0)`
+//! is a `bpred-core` invariant), so a lane group can mix sweep sizes
+//! and history lengths freely. [`LaneSpec::of`] is the single
+//! classification point: specs it returns `None` for (bi-mode's
+//! cross-bank choice update, tagged and combining schemes, …) **must
+//! fall back** to the batch engine — the harness dispatch does so
+//! explicitly, and `bpred-check` audits the classification so a spec
+//! can never silently take the wrong path.
 //!
 //! # Why it is fast
 //!

@@ -8,7 +8,7 @@
 //! derives the same structure *statically* from the program text, so
 //! the two views can be cross-checked instruction by instruction:
 //!
-//! * [`cfg`] — basic blocks, edges, reachability, and static detection
+//! * [`cfg`](mod@cfg) — basic blocks, edges, reachability, and static detection
 //!   of out-of-bounds transfer targets (mirroring the machine's
 //!   `BranchTargetOutOfBounds` diagnostic byte for byte);
 //! * [`loops`] — dominators, natural loops, and the classification of
@@ -22,7 +22,7 @@
 //!   alias model into a statically-ranked hard-to-predict list;
 //! * [`alias`] — which static site pairs can collide in a predictor's
 //!   pattern-history table, per [`bpred_core::PredictorSpec`];
-//! * [`audit`] — internal-consistency checks wired into `bpred-check`.
+//! * [`audit`](mod@audit) — internal-consistency checks wired into `bpred-check`.
 //!
 //! [`analyze`] runs the whole pipeline and returns an [`Analysis`] with
 //! one [`SiteReport`] per conditional branch site.

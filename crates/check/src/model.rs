@@ -1,7 +1,7 @@
 //! The exhaustive model checker: breadth-first enumeration of a
 //! predictor's reachable state space under a small driving alphabet.
 //!
-//! Every [`Predictor`](bpred_core::Predictor) is a deterministic finite
+//! Every [`Predictor`] is a deterministic finite
 //! transducer once its tables are down-scaled to a handful of index bits:
 //! the state is the tuple of all counter tables plus the history
 //! register(s), the input alphabet is (pc, outcome), and `update` is the

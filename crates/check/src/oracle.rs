@@ -6,7 +6,8 @@
 //! selected counter nevertheless predicted correctly (the partial
 //! update). This module transcribes those rules — plus the tri-mode
 //! extension's conflict-counter policy — into a symbolic oracle over the
-//! white-box [`BiModeProbe`]/[`TriModeProbe`] snapshots, and checks every
+//! white-box [`BiModeProbe`](bpred_core::BiModeProbe)/
+//! [`TriModeProbe`](bpred_core::TriModeProbe) snapshots, and checks every
 //! transition of the reachable state space against it: probe before
 //! `update`, compute the expected successor counters/history from the
 //! probe alone, apply the real `update`, and compare.

@@ -7,7 +7,10 @@
 //! [`TwoLevel`] family (GAg/GAs/PAg/PAs), McFarling's [`Gshare`] and
 //! [`Gselect`], and the de-aliasing schemes from the paper's related-work
 //! lineage ([`Agree`], [`Gskew`], [`Yags`], and the [`Tournament`]
-//! combining predictor).
+//! combining predictor). Two wrappers change how any of them is
+//! trained, for the methodology ablations: [`DelayedUpdate`] holds
+//! updates in a resolution-latency FIFO, and [`Flushed`] resets the
+//! predictor every N branches to model context switches.
 //!
 //! All predictors implement the [`Predictor`] trait, are trace-driven
 //! (call [`Predictor::predict`] then [`Predictor::update`], or the fused
@@ -64,6 +67,7 @@ pub use predictors::bimode::{
 };
 pub use predictors::cascade::{Cascade, CASCADE_GATE_BITS};
 pub use predictors::delayed::DelayedUpdate;
+pub use predictors::flushed::Flushed;
 pub use predictors::gselect::Gselect;
 pub use predictors::gshare::Gshare;
 pub use predictors::gskew::Gskew;

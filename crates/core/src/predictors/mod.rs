@@ -8,6 +8,7 @@ pub mod bimodal;
 pub mod bimode;
 pub mod cascade;
 pub mod delayed;
+pub mod flushed;
 pub mod gselect;
 pub mod gshare;
 pub mod gskew;

@@ -2,45 +2,24 @@
 //! the de-aliasing-scheme comparison from the related-work lineage
 //! (\[Lee97\]'s comparative study).
 //!
-//! Every configuration grid here is planned as store jobs (traces in
-//! parallel, warm points served from the result store): the grammar
-//! spec grids through [`engine::cached_spec_rates`], the bi-mode
-//! variant grids and the delayed-update wrappers, which have no spec
-//! of their own, fused into one predictor batch per trace by
-//! [`engine::cached_batch_rates`]. Work accounting is recorded
-//! process-wide and reported per stage by the orchestrator (see
-//! [`crate::observe`]).
+//! Every rate grid here — the bi-mode variants, the de-aliasing and
+//! tri-mode contenders, and the delayed and flushed measurements — is
+//! one [`engine::cached_rates`] call: each (point, trace) pair is a
+//! store job, warm points are served from the result store, and the
+//! rest are measured in parallel over traces. Work accounting is
+//! recorded process-wide and reported per stage by the orchestrator
+//! (see [`crate::observe`]).
 
 use bpred_core::{
-    BankInit, BiMode, BiModeConfig, ChoiceUpdate, DelayedUpdate, IndexShare, Predictor,
-    PredictorSpec, TriMode, TriModeConfig,
+    BankInit, BiMode, BiModeConfig, ChoiceUpdate, IndexShare, Predictor, PredictorSpec, TriMode,
+    TriModeConfig,
 };
-use bpred_trace::PackedTrace;
 
-use crate::engine;
+use crate::engine::{self, Rate};
 use crate::experiments::{kib, pct};
 use crate::format::{Report, Table};
-use crate::parallel;
 use crate::store::{self, JobSpec};
 use crate::traces::TraceSet;
-
-/// `rates[config][trace]` for a grid of bi-mode configurations, each
-/// point planned as a store job.
-fn bimode_grid_rates(
-    traces: &[&PackedTrace],
-    jobs: Option<usize>,
-    configs: &[BiModeConfig],
-) -> Vec<Vec<f64>> {
-    let specs: Vec<JobSpec> = configs
-        .iter()
-        .map(|&c| JobSpec::rate(&PredictorSpec::BiMode(c)))
-        .collect();
-    engine::cached_batch_rates(traces, jobs, &specs, |idx| {
-        idx.iter()
-            .map(|&i| BiMode::new(configs[i]))
-            .collect::<Vec<_>>()
-    })
-}
 
 /// Ablation: the partial choice-update rule vs always updating the
 /// choice predictor. The paper: partial update is "particularly
@@ -54,7 +33,7 @@ pub fn ablation_choice_update(set: &TraceSet, jobs: Option<usize>) -> Report {
     );
     let mut t = Table::new(["d", "size KB", "partial %", "always %", "partial wins"]);
     let ds = [8u32, 9, 10, 12, 14];
-    let configs: Vec<BiModeConfig> = ds
+    let points: Vec<Rate> = ds
         .iter()
         .flat_map(|&d| {
             let mut partial = BiModeConfig::paper_default(d);
@@ -63,8 +42,9 @@ pub fn ablation_choice_update(set: &TraceSet, jobs: Option<usize>) -> Report {
             always.choice_update = ChoiceUpdate::Always;
             [partial, always]
         })
+        .map(|c| Rate::Plain(PredictorSpec::BiMode(c)))
         .collect();
-    let rates = bimode_grid_rates(&traces, jobs, &configs);
+    let rates = engine::cached_rates(&traces, jobs, &points);
     let mut small_budget_gain = 0.0;
     for (i, &d) in ds.iter().enumerate() {
         let partial = engine::average(&rates[2 * i]);
@@ -74,7 +54,9 @@ pub fn ablation_choice_update(set: &TraceSet, jobs: Option<usize>) -> Report {
         }
         t.push_row([
             d.to_string(),
-            kib(BiMode::new(configs[2 * i]).cost().state_kib()),
+            kib(BiMode::new(BiModeConfig::paper_default(d))
+                .cost()
+                .state_kib()),
             pct(partial),
             pct(always),
             (partial <= always).to_string(),
@@ -96,7 +78,7 @@ pub fn ablation_init(set: &TraceSet, jobs: Option<usize>) -> Report {
     let mut report = Report::new("ablation-init", "Ablation: direction-bank initialisation");
     let mut t = Table::new(["d", "split init %", "uniform init %"]);
     let ds = [8u32, 10, 12];
-    let configs: Vec<BiModeConfig> = ds
+    let points: Vec<Rate> = ds
         .iter()
         .flat_map(|&d| {
             let split = BiModeConfig::paper_default(d);
@@ -104,8 +86,9 @@ pub fn ablation_init(set: &TraceSet, jobs: Option<usize>) -> Report {
             uniform.bank_init = BankInit::UniformWeaklyTaken;
             [split, uniform]
         })
+        .map(|c| Rate::Plain(PredictorSpec::BiMode(c)))
         .collect();
-    let rates = bimode_grid_rates(&traces, jobs, &configs);
+    let rates = engine::cached_rates(&traces, jobs, &points);
     for (i, &d) in ds.iter().enumerate() {
         t.push_row([
             d.to_string(),
@@ -131,8 +114,11 @@ pub fn ablation_choice_size(set: &TraceSet, jobs: Option<usize>) -> Report {
     );
     let d = 10u32;
     let cs = [d - 4, d - 2, d - 1, d, d + 1];
-    let configs: Vec<BiModeConfig> = cs.iter().map(|&c| BiModeConfig::new(d, c, d)).collect();
-    let rates = bimode_grid_rates(&traces, jobs, &configs);
+    let points: Vec<Rate> = cs
+        .iter()
+        .map(|&c| Rate::Plain(PredictorSpec::BiMode(BiModeConfig::new(d, c, d))))
+        .collect();
+    let rates = engine::cached_rates(&traces, jobs, &points);
     let mut t = Table::new(["choice bits", "total size KB", "misprediction %"]);
     for (i, &c) in cs.iter().enumerate() {
         let size = BiMode::new(BiModeConfig::new(d, c, d)).cost().state_kib();
@@ -153,7 +139,7 @@ pub fn ablation_index(set: &TraceSet, jobs: Option<usize>) -> Report {
     );
     let mut t = Table::new(["d", "shared %", "skewed %"]);
     let ds = [8u32, 10, 12];
-    let configs: Vec<BiModeConfig> = ds
+    let points: Vec<Rate> = ds
         .iter()
         .flat_map(|&d| {
             let shared = BiModeConfig::paper_default(d);
@@ -161,8 +147,9 @@ pub fn ablation_index(set: &TraceSet, jobs: Option<usize>) -> Report {
             skewed.index_share = IndexShare::SkewedPerBank;
             [shared, skewed]
         })
+        .map(|c| Rate::Plain(PredictorSpec::BiMode(c)))
         .collect();
-    let rates = bimode_grid_rates(&traces, jobs, &configs);
+    let rates = engine::cached_rates(&traces, jobs, &points);
     for (i, &d) in ds.iter().enumerate() {
         t.push_row([
             d.to_string(),
@@ -244,7 +231,8 @@ pub fn compare_dealias(set: &TraceSet, jobs: Option<usize>) -> Report {
         .iter()
         .flat_map(|&(_, s)| dealias_specs(s))
         .collect();
-    let rates = engine::cached_spec_rates(&traces, jobs, &grid);
+    let points: Vec<Rate> = grid.iter().cloned().map(Rate::Plain).collect();
+    let rates = engine::cached_rates(&traces, jobs, &points);
     for (bi, &(label, _)) in budgets.iter().enumerate() {
         let mut t = Table::new(["scheme", "size KB", "misprediction %"]);
         for ci in 0..DEALIAS_CONTENDERS {
@@ -276,31 +264,11 @@ pub fn ablation_delay(set: &TraceSet, jobs: Option<usize>) -> Report {
          resolution. Rates are suite averages.",
     );
     let delays = [0usize, 1, 2, 4, 8, 16, 32];
-    // The `DelayedUpdate` wrapper has no grammar spec of its own; the
-    // inner spec plus the FIFO depth keys the job.
-    let inners = [
-        PredictorSpec::Gshare {
-            table_bits: 12,
-            history_bits: 12,
-        },
-        PredictorSpec::BiMode(BiModeConfig::paper_default(11)),
-    ];
-    let grid: Vec<(usize, &PredictorSpec)> = delays
+    let points: Vec<Rate> = delays
         .iter()
-        .flat_map(|&delay| inners.iter().map(move |inner| (delay, inner)))
+        .flat_map(|&delay| measured_pair().map(move |inner| Rate::Delayed(inner, delay)))
         .collect();
-    let specs: Vec<JobSpec> = grid
-        .iter()
-        .map(|&(delay, inner)| JobSpec::delayed_rate(inner, delay as u64))
-        .collect();
-    let rates = engine::cached_batch_rates(&traces, jobs, &specs, |idx| {
-        idx.iter()
-            .map(|&i| {
-                let (delay, inner) = grid[i];
-                Box::new(DelayedUpdate::new(inner.build(), delay)) as Box<dyn Predictor>
-            })
-            .collect::<Vec<_>>()
-    });
+    let rates = engine::cached_rates(&traces, jobs, &points);
     let mut t = Table::new(["delay (branches)", "gshare(s=12) %", "bi-mode(d=11) %"]);
     for (i, &delay) in delays.iter().enumerate() {
         t.push_row([
@@ -345,7 +313,8 @@ pub fn future_trimode(set: &TraceSet, jobs: Option<usize>) -> Report {
             ]
         })
         .collect();
-    let rates = engine::cached_spec_rates(&traces, jobs, &grid);
+    let points: Vec<Rate> = grid.iter().cloned().map(Rate::Plain).collect();
+    let rates = engine::cached_rates(&traces, jobs, &points);
     for (di, &d) in ds.iter().enumerate() {
         let (bi_rates, tri_rates) = (&rates[2 * di], &rates[2 * di + 1]);
         let mut t = Table::new(["benchmark", "bi-mode %", "tri-mode %", "winner"]);
@@ -449,33 +418,16 @@ pub fn aliasing_taxonomy(set: &TraceSet) -> Report {
     report
 }
 
-/// Suite average of one flushed configuration, traces in parallel.
-/// `u64::MAX` means "never flush" and is the same measurement as a
-/// plain rate drive, so it shares the rate job family; finite
-/// intervals key as flushed-rate jobs parameterised by the interval.
-fn flushed_average(
-    traces: &[&PackedTrace],
-    jobs: Option<usize>,
-    interval: u64,
-    spec: &PredictorSpec,
-) -> f64 {
-    let job_spec = if interval == u64::MAX {
-        JobSpec::rate(spec)
-    } else {
-        JobSpec::flushed_rate(spec, interval)
-    };
-    let rates = parallel::map(traces.to_vec(), jobs, |t| {
-        store::cached_run(job_spec.job(t.digest()), || {
-            let mut p = spec.build();
-            if interval == u64::MAX {
-                bpred_analysis::measure_packed(t, &mut p)
-            } else {
-                bpred_analysis::measure_packed_with_flushes(t, &mut p, interval)
-            }
-        })
-        .misprediction_rate()
-    });
-    engine::average(&rates)
+/// The gshare(s=12) and bi-mode(d=11) columns of the delay and flush
+/// ablations.
+fn measured_pair() -> [PredictorSpec; 2] {
+    [
+        PredictorSpec::Gshare {
+            table_bits: 12,
+            history_bits: 12,
+        },
+        PredictorSpec::BiMode(BiModeConfig::paper_default(11)),
+    ]
 }
 
 /// Context-switch model: flush all predictor state every N branches
@@ -488,31 +440,24 @@ pub fn ablation_flush(set: &TraceSet, jobs: Option<usize>) -> Report {
         "ablation-flush",
         "Ablation: predictor flush interval (context-switch model)",
     );
-    let intervals = [10_000u64, 50_000, 250_000, u64::MAX];
+    // `None` is "never": the plain rate, so it shares Figure 2's keys.
+    let intervals = [Some(10_000u64), Some(50_000), Some(250_000), None];
+    let points: Vec<Rate> = intervals
+        .iter()
+        .flat_map(|&interval| {
+            measured_pair().map(move |spec| match interval {
+                Some(interval) => Rate::Flushed(spec, interval),
+                None => Rate::Plain(spec),
+            })
+        })
+        .collect();
+    let rates = engine::cached_rates(&traces, jobs, &points);
     let mut t = Table::new(["flush interval", "gshare(s=12) %", "bi-mode(d=11) %"]);
-    for interval in intervals {
-        let label = if interval == u64::MAX {
-            "never".to_owned()
-        } else {
-            interval.to_string()
-        };
+    for (i, interval) in intervals.iter().enumerate() {
         t.push_row([
-            label,
-            pct(flushed_average(
-                &traces,
-                jobs,
-                interval,
-                &PredictorSpec::Gshare {
-                    table_bits: 12,
-                    history_bits: 12,
-                },
-            )),
-            pct(flushed_average(
-                &traces,
-                jobs,
-                interval,
-                &PredictorSpec::BiMode(BiModeConfig::paper_default(11)),
-            )),
+            interval.map_or_else(|| "never".to_owned(), |n| n.to_string()),
+            pct(engine::average(&rates[2 * i])),
+            pct(engine::average(&rates[2 * i + 1])),
         ]);
     }
     report.section("suite-average misprediction vs flush interval", t);

@@ -312,11 +312,11 @@ const CROSS_K: usize = 4;
 /// `cfa.bias`: per-site misprediction concentration per (kernel,
 /// predictor family), cross-checked against the static H2P ranking.
 ///
-/// The dynamic half drives each [`ALIAS_SPECS`] predictor over each
+/// The dynamic half drives each `ALIAS_SPECS` predictor over each
 /// sim-kernel trace with per-site attribution on (each table persisted
 /// as one content-addressed store job); the static half is
 /// [`bpred_cfa::rank_h2p`] over the kernel's program. Agreement is the
-/// overlap of the two top-[`CROSS_K`] sets, with every disagreement
+/// overlap of the two top-`CROSS_K` sets, with every disagreement
 /// listed — same contract as `cfa.report`'s bias cross-check.
 #[must_use]
 pub fn cfa_bias(set: &TraceSet) -> Report {

@@ -8,25 +8,12 @@ use bpred_core::{BiModeConfig, PredictorSpec};
 use bpred_trace::PackedTrace;
 use bpred_workloads::Suite;
 
+use crate::engine::{self, Rate};
 use crate::experiments::pct;
 use crate::format::{Report, Table};
 use crate::search::best_gshare;
 use crate::store::{self, JobSpec};
 use crate::traces::TraceSet;
-
-/// One store-planned rate job per trace; fresh predictor state per
-/// trace, exactly like the scalar loop this replaces.
-fn rate_of(trace: &PackedTrace, spec: &PredictorSpec) -> f64 {
-    store::cached_run(JobSpec::rate(spec).job(trace.digest()), || {
-        bpred_analysis::measure_packed(trace, spec.build().as_mut())
-    })
-    .misprediction_rate()
-}
-
-fn average_rate(traces: &[&PackedTrace], spec: &PredictorSpec) -> f64 {
-    let sum: f64 = traces.iter().map(|t| rate_of(t, spec)).sum();
-    sum / traces.len() as f64
-}
 
 /// A two-pass analysis job, served from the result store when warm.
 fn analysis_of(trace: &PackedTrace, spec: &PredictorSpec) -> Analysis {
@@ -92,17 +79,17 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
     let ibs = traces_of(Suite::IbsUltrix);
     let gcc = set.trace("gcc").expect("summary needs gcc"); // panic-audited: paper trace sets always include gcc; documented panic
     let go = set.trace("go").expect("summary needs go"); // panic-audited: paper trace sets always include go; documented panic
+    let bimode = |d| Rate::Plain(PredictorSpec::BiMode(BiModeConfig::paper_default(d)));
 
     // -- Figure 2: bi-mode vs the next-smaller best gshare, per suite --
     for (suite_name, traces) in [("SPEC", &spec), ("IBS", &ibs)] {
         let mut wins = 0;
         let mut detail = Vec::new();
         let ds = [9u32, 11, 13];
-        for &d in &ds {
-            let bm = average_rate(
-                traces,
-                &PredictorSpec::BiMode(BiModeConfig::paper_default(d)),
-            );
+        let points: Vec<Rate> = ds.iter().map(|&d| bimode(d)).collect();
+        let rates = engine::cached_rates(traces, jobs, &points);
+        for (&d, rates) in ds.iter().zip(&rates) {
+            let bm = engine::average(rates);
             let gs = best_gshare(traces, d + 1, jobs).average_rate;
             wins += usize::from(bm <= gs * 1.01);
             detail.push(format!("d={d}: {} vs {}", pct(bm), pct(gs)));
@@ -116,10 +103,7 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
 
     // -- Figure 2: the half-the-size-at-4KB+ claim --
     for (suite_name, traces) in [("SPEC", &spec), ("IBS", &ibs)] {
-        let bm12 = average_rate(
-            traces,
-            &PredictorSpec::BiMode(BiModeConfig::paper_default(14)),
-        );
+        let bm12 = engine::average(&engine::cached_rates(traces, jobs, &[bimode(14)])[0]);
         let gs32 = best_gshare(traces, 17, jobs).average_rate;
         board.check(
             &format!("Fig 2 ({suite_name}): bi-mode@12KB beats gshare.best@32KB"),
@@ -129,13 +113,15 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
     }
 
     // -- Figure 3: go is the hardest SPEC benchmark --
-    let gshare_12_10 = PredictorSpec::Gshare {
+    let gshare_12_10 = Rate::Plain(PredictorSpec::Gshare {
         table_bits: 12,
         history_bits: 10,
-    };
+    });
+    let spec_rates = engine::cached_rates(&spec, jobs, &[gshare_12_10]);
     let mut rates: Vec<(&str, f64)> = set
         .suite(Suite::SpecInt95)
-        .map(|(w, t)| (w.name(), rate_of(t, &gshare_12_10)))
+        .map(|(w, _)| w.name())
+        .zip(spec_rates[0].iter().copied())
         .collect();
     rates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite")); // panic-audited: misprediction rates are finite ratios, never NaN
     board.check(
@@ -237,18 +223,13 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
     );
 
     // -- §5 future work: tri-mode helps on go --
-    let bi_go = average_rate(
-        &[go],
-        &PredictorSpec::BiMode(BiModeConfig::paper_default(10)),
-    );
-    let tri_go = average_rate(
-        &[go],
-        &PredictorSpec::TriMode {
-            direction_bits: 10,
-            choice_bits: 10,
-            history_bits: 10,
-        },
-    );
+    let tri = Rate::Plain(PredictorSpec::TriMode {
+        direction_bits: 10,
+        choice_bits: 10,
+        history_bits: 10,
+    });
+    let go_rates = engine::cached_rates(&[go], jobs, &[bimode(10), tri]);
+    let (bi_go, tri_go) = (engine::average(&go_rates[0]), engine::average(&go_rates[1]));
     board.check(
         "§5 (extension): tri-mode beats bi-mode on go",
         format!("{} vs {}", pct(tri_go), pct(bi_go)),

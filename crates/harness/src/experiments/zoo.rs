@@ -22,14 +22,14 @@
 //!   about 1.5x plus the 64-entry gate table.
 //!
 //! Exact KB is printed per row; every point is planned as a store job
-//! through [`engine::cached_spec_rates`], so the sliced lanes (gshare)
-//! and the batch fallbacks (the zoo) share one key space and repeat
-//! runs are served entirely from the store.
+//! through [`engine::cached_rates`], so the sliced lanes (gshare) and
+//! the boxed batch (bi-mode and the zoo) share one key space and
+//! repeat runs are served entirely from the store.
 
 use bpred_core::cost::paper_size_ladder;
 use bpred_core::{BiModeConfig, Perceptron, PredictorSpec};
 
-use crate::engine;
+use crate::engine::{self, Rate};
 use crate::experiments::{kib, pct};
 use crate::format::{Report, Table};
 use crate::traces::TraceSet;
@@ -90,7 +90,8 @@ pub fn zoo_cost(set: &TraceSet, jobs: Option<usize>) -> Report {
     );
     let ladder = paper_size_ladder();
     let grid: Vec<PredictorSpec> = ladder.iter().flat_map(|&(s, _)| zoo_specs(s)).collect();
-    let rates = engine::cached_spec_rates(&traces, jobs, &grid);
+    let points: Vec<Rate> = grid.iter().cloned().map(Rate::Plain).collect();
+    let rates = engine::cached_rates(&traces, jobs, &points);
 
     let avg = |point: usize, family: usize| engine::average(&rates[point * ZOO_FAMILIES + family]);
     for (point, &(s, budget_kib)) in ladder.iter().enumerate() {

@@ -228,9 +228,9 @@ impl JobSpec {
     }
 
     /// A rate measurement with predictor flushes every `interval`
-    /// branches (`u64::MAX` conventionally means "never", but still
-    /// keys separately from [`JobSpec::rate`] because the drive loop
-    /// differs).
+    /// branches ([`bpred_core::Flushed`]). Every interval keys
+    /// separately from [`JobSpec::rate`], even one longer than the
+    /// trace; a "never flush" point is a plain rate.
     #[must_use]
     pub fn flushed_rate(spec: &PredictorSpec, interval: u64) -> Self {
         Self::new(Kind::FlushedRate, spec.fingerprint(), interval)
@@ -564,8 +564,9 @@ fn decode_f64s(words: &[u64]) -> Vec<f64> {
     words.iter().map(|&w| f64::from_bits(w)).collect()
 }
 
-/// Looks one drive result up (the batched engine separates lookup from
-/// insert so it can fan all of a trace's misses into one pass).
+/// Looks one drive result up ([`crate::engine::cached_rates`]
+/// separates lookup from insert so it can fan all of a trace's misses
+/// into one pass).
 #[must_use]
 pub fn lookup_run(job: Job) -> Option<RunResult> {
     lookup(job).as_deref().and_then(decode_run)
@@ -574,16 +575,6 @@ pub fn lookup_run(job: Job) -> Option<RunResult> {
 /// Persists one drive result.
 pub fn insert_run(job: Job, result: &RunResult) {
     insert(job, &encode_run(result));
-}
-
-/// Serves `job` from the store or computes, persists, and returns it.
-pub fn cached_run(job: Job, compute: impl FnOnce() -> RunResult) -> RunResult {
-    if let Some(r) = lookup_run(job) {
-        return r;
-    }
-    let r = compute();
-    insert_run(job, &r);
-    r
 }
 
 /// Serves a two-pass [`Analysis`] from the store or computes it.
@@ -618,7 +609,7 @@ fn encode_sites(sites: &[bpred_trace::SiteSummary]) -> Vec<u64> {
 fn decode_sites(words: &[u64]) -> Option<Vec<bpred_trace::SiteSummary>> {
     let (&n, rest) = words.split_first()?;
     let n = usize::try_from(n).ok()?;
-    if rest.len() != n * 3 {
+    if rest.len() != n.checked_mul(3)? {
         return None;
     }
     Some(
@@ -658,7 +649,7 @@ fn encode_site_misses(sites: &[bpred_analysis::SiteMisses]) -> Vec<u64> {
 fn decode_site_misses(words: &[u64]) -> Option<Vec<bpred_analysis::SiteMisses>> {
     let (&n, rest) = words.split_first()?;
     let n = usize::try_from(n).ok()?;
-    if rest.len() != n * 3 {
+    if rest.len() != n.checked_mul(3)? {
         return None;
     }
     Some(
@@ -817,10 +808,10 @@ mod tests {
             branches: 12345,
             mispredictions: 678,
         };
-        let first = cached_run(job, || r);
-        assert_eq!(first, r);
-        let second = cached_run(job, || panic!("must be served from the store"));
-        assert_eq!(second, r);
+        let never_inserted = JobSpec::rate(&spec("gshare:s=6,h=1")).job(unique_digest(2));
+        assert_eq!(lookup_run(never_inserted), None);
+        insert_run(job, &r);
+        assert_eq!(lookup_run(job), Some(r));
         let delta = counters().since(&before);
         assert!(delta.misses >= 1 && delta.inserts >= 1, "{delta:?}");
         assert!(delta.hits >= 1, "{delta:?}");
@@ -903,6 +894,15 @@ mod tests {
         let second = cached_site_misses(job, || panic!("must be served from the store"));
         assert_eq!(first, rows);
         assert_eq!(second, rows);
+    }
+
+    #[test]
+    fn crafted_site_counts_decode_to_none() {
+        // A count word whose row total overflows must read as a miss,
+        // not panic (debug) or wrap (release).
+        let crafted = [u64::MAX / 2, 1, 2];
+        assert_eq!(decode_sites(&crafted), None);
+        assert_eq!(decode_site_misses(&crafted), None);
     }
 
     #[test]

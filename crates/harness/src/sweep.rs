@@ -8,16 +8,16 @@
 //!
 //! Every scheme's whole ladder — for `gshare.best`, every `(s, m)`
 //! candidate of every ladder size at once — rides
-//! [`engine::cached_spec_rates`]: gshare-family ladders are packed
-//! into 64-lane groups for the bit-sliced engine, bi-mode falls back
-//! to the batch engine, and every (trace, lane-group) pass is sharded
+//! [`engine::cached_rates`]: gshare-family ladders are packed into
+//! 64-lane groups for the bit-sliced engine, bi-mode falls back to one
+//! batch pass per trace, and every (trace, group) pass is sharded
 //! across threads. Work accounting is global (see
 //! [`crate::observe`]); the sweeps return points only.
 
 use bpred_core::{BiMode, BiModeConfig, Gshare, Predictor, PredictorSpec};
 use bpred_trace::PackedTrace;
 
-use crate::engine;
+use crate::engine::{self, Rate};
 
 /// The schemes compared in Figures 2–4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,14 +90,15 @@ pub fn sweep_scheme(
     match scheme {
         Scheme::GshareSinglePht => {
             let sizes: Vec<u32> = GSHARE_SIZES.collect();
-            let specs: Vec<PredictorSpec> = sizes
+            let points: Vec<Rate> = sizes
                 .iter()
                 .map(|&s| PredictorSpec::Gshare {
                     table_bits: s,
                     history_bits: s,
                 })
+                .map(Rate::Plain)
                 .collect();
-            let rates = engine::cached_spec_rates(traces, jobs, &specs);
+            let rates = engine::cached_rates(traces, jobs, &points);
             sizes
                 .iter()
                 .zip(rates)
@@ -111,14 +112,15 @@ pub fn sweep_scheme(
             let pairs: Vec<(u32, u32)> = GSHARE_SIZES
                 .flat_map(|s| (0..=s).map(move |m| (s, m)))
                 .collect();
-            let specs: Vec<PredictorSpec> = pairs
+            let points: Vec<Rate> = pairs
                 .iter()
                 .map(|&(s, m)| PredictorSpec::Gshare {
                     table_bits: s,
                     history_bits: m,
                 })
+                .map(Rate::Plain)
                 .collect();
-            let rates = engine::cached_spec_rates(traces, jobs, &specs);
+            let rates = engine::cached_rates(traces, jobs, &points);
             GSHARE_SIZES
                 .map(|s| {
                     let (&(_, m), rates) = pairs
@@ -137,13 +139,13 @@ pub fn sweep_scheme(
         }
         Scheme::BiMode => {
             // Not sliceable (cross-bank choice update): rides the
-            // explicit batch fallback inside the spec dispatch.
+            // front door's batch fallback.
             let sizes: Vec<u32> = BIMODE_SIZES.collect();
-            let specs: Vec<PredictorSpec> = sizes
+            let points: Vec<Rate> = sizes
                 .iter()
-                .map(|&d| PredictorSpec::BiMode(BiModeConfig::paper_default(d)))
+                .map(|&d| Rate::Plain(PredictorSpec::BiMode(BiModeConfig::paper_default(d))))
                 .collect();
-            let rates = engine::cached_spec_rates(traces, jobs, &specs);
+            let rates = engine::cached_rates(traces, jobs, &points);
             sizes
                 .iter()
                 .zip(rates)

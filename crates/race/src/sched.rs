@@ -58,7 +58,7 @@ pub(crate) const NO_OBJECT: usize = usize::MAX;
 pub struct OpDesc {
     /// The operation class.
     pub kind: OpKind,
-    /// The shared object acted on ([`NO_OBJECT`] for thread-lifecycle
+    /// The shared object acted on (`NO_OBJECT` for thread-lifecycle
     /// operations).
     pub object: usize,
     /// Join target thread id (unused otherwise).

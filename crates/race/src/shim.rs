@@ -3,7 +3,7 @@
 //! the subset the facade exposes) so the hot-path code compiles
 //! unchanged under `--cfg bpred_race`.
 //!
-//! Every operation passes through [`crate::sched::yield_op`] before it
+//! Every operation passes through `crate::sched::yield_op` before it
 //! executes, which parks the thread until the scheduler grants it.
 //! Because exactly one model thread runs at a time, the real operation
 //! can then execute with plain `SeqCst` std atomics: exclusivity makes
