@@ -277,6 +277,31 @@ mod tests {
     }
 
     #[test]
+    fn spec_rates_match_the_scalar_reference_bit_for_bit() {
+        // A gshare-family grid plus explicit-fallback specs in one
+        // call: the sliced and batch paths land in the same grid and
+        // must equal per-spec reference runs exactly.
+        let t = trace(0xBEEF ^ u64::from(std::process::id()), 5000);
+        let p = PackedTrace::build(&t).unwrap();
+        let points: Vec<Rate> = [
+            "gshare:s=8,h=8",
+            "gshare:s=8,h=3",
+            "bimodal:s=7",
+            "bimode:d=6",
+            "always-taken",
+        ]
+        .into_iter()
+        .map(|s| Rate::Plain(spec(s)))
+        .collect();
+        let want: Vec<Vec<f64>> = points.iter().map(|p| vec![reference(&t, p)]).collect();
+        assert_eq!(
+            cached_rates(&[&p], Some(2), &points),
+            want,
+            "sliced dispatch must be bit-identical"
+        );
+    }
+
+    #[test]
     fn spec_rates_use_the_sliced_engine_and_share_store_keys() {
         let t = trace(0xACE5 ^ u64::from(std::process::id()), 4000);
         let p = PackedTrace::build(&t).unwrap();
