@@ -1,34 +1,27 @@
 //! Batched single-pass measurement over packed traces: the execution
 //! engine behind the harness's fallback batches (every rate point the
-//! bit-sliced engine cannot run, wrapped measurements included).
+//! sliced engine cannot run, wrapped measurements included).
 //!
 //! The scalar [`measure`](crate::simulate::measure) loop walks the full
 //! trace once per predictor configuration; an N-configuration sweep
 //! therefore streams the trace N times. [`measure_batch`] instead
 //! drives *all* configurations over a single pass of one
-//! [`PackedTrace`], blocked so the trace side of the working set stays
-//! cache-resident: records are the outer blocks
-//! ([`BLOCK_RECORDS`] at a time, ~17 KB of packed columns), predictors
-//! the inner loop, so each block is read from cache N times instead of
-//! the whole trace being read from memory N times.
+//! [`PackedTrace`]: records are the outer loop, predictors the inner,
+//! so each record is decoded from the packed columns once and retired
+//! by every predictor before the next.
 //!
 //! Results are bit-identical to running the scalar loop per
 //! configuration (property-tested in `tests/packed_engine.rs`): the
-//! blocked schedule never reorders the per-predictor view of the
-//! stream, and [`PackedRecord`](bpred_trace::PackedRecord) replays
-//! exactly the (pc, backwardness, outcome) information the scalar loop
-//! feeds each predictor.
+//! schedule never reorders the per-predictor view of the stream, and
+//! [`PackedRecord`](bpred_trace::PackedRecord) replays exactly the
+//! (pc, backwardness, outcome) information the scalar loop feeds each
+//! predictor.
 
 use bpred_core::Predictor;
 use bpred_trace::PackedTrace;
 
 use crate::session::{BatchSession, PackedSession};
 use crate::simulate::RunResult;
-
-/// Records per block of the batched drive loop. 4096 records are
-/// ~17 KB of packed columns (site ids plus two bit columns) — resident
-/// in L1d while every predictor of the batch consumes them.
-pub const BLOCK_RECORDS: usize = 4096;
 
 /// Drives `predictor` over a packed trace in program order, one
 /// [`Predictor::retire`] per branch, with the same results as the
@@ -43,14 +36,14 @@ pub fn measure_packed<P: Predictor + ?Sized>(packed: &PackedTrace, predictor: &m
     session.finish()
 }
 
-/// Drives every predictor in `predictors` over `packed` in one blocked
-/// pass, returning one [`RunResult`] per predictor in input order.
+/// Drives every predictor in `predictors` over `packed` in one pass,
+/// returning one [`RunResult`] per predictor in input order.
 ///
 /// Each predictor sees the identical program-order stream the scalar
 /// loop would feed it; predictors are assumed to start in the state the
 /// caller wants measured (normally power-on fresh).
 ///
-/// Loop nesting is records outer, predictors inner: each block is
+/// Loop nesting is records outer, predictors inner: each record is
 /// decoded from the bit-packed columns exactly once (not once per
 /// predictor), and because the N predictors' retire chains are
 /// mutually independent, the inner loop gives the core N overlapping
@@ -61,15 +54,12 @@ pub fn measure_packed<P: Predictor + ?Sized>(packed: &PackedTrace, predictor: &m
 /// levels anyway.) Homogeneous batches (`&mut [Gshare]`,
 /// `&mut [BiMode]`, …) monomorphise the inner loop with no virtual
 /// dispatch; mixed batches work through `Box<dyn Predictor>`.
+///
+/// Thin wrapper over [`BatchSession`]: open, feed the whole trace,
+/// finish.
 pub fn measure_batch<P: Predictor>(packed: &PackedTrace, predictors: &mut [P]) -> Vec<RunResult> {
     let mut session = BatchSession::new(predictors);
-    let len = packed.len();
-    let mut block_start = 0;
-    while block_start < len {
-        let block_end = (block_start + BLOCK_RECORDS).min(len);
-        session.feed((block_start..block_end).map(|i| packed.record(i)));
-        block_start = block_end;
-    }
+    session.feed(packed.records());
     session.finish()
 }
 
@@ -121,7 +111,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_config_scalar_runs() {
-        let t = mixed_trace(9000); // spans multiple blocks
+        let t = mixed_trace(9000);
         let packed = PackedTrace::build(&t).unwrap();
         let specs = [
             "bimodal:s=6",
@@ -155,9 +145,9 @@ mod tests {
 
     #[test]
     fn block_boundary_exactness() {
-        // Lengths straddling the block size: one under, exact, one over.
-        for extra in [-1i64, 0, 1] {
-            let len = (BLOCK_RECORDS as i64 + extra) as u64;
+        // Lengths one under, at and one over a 4096-record sealed block
+        // of the packed columns.
+        for len in [4095u64, 4096, 4097] {
             let t: Trace = (0..len)
                 .map(|i| BranchRecord::conditional(0x1000 + (i % 5) * 4, 0, i % 7 < 3))
                 .collect();

@@ -50,11 +50,12 @@ pub enum Engine {
     /// [`measure_packed`](crate::measure_packed), per-site miss tables,
     /// and the streaming service's tenant sessions.
     Packed,
-    /// The blocked all-configs-in-one-pass loop
+    /// The all-configs-in-one-pass loop
     /// [`measure_batch`](crate::measure_batch).
     Batch,
-    /// The bit-sliced plane engine
-    /// [`measure_sliced`](crate::measure_sliced).
+    /// The gshare-family lane-group engine
+    /// [`measure_sliced`](crate::measure_sliced): up to 64 counter
+    /// tables sharing one history register.
     Sliced,
 }
 

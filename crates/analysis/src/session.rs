@@ -14,8 +14,8 @@
 //!   predictors-inner schedule of [`crate::measure_batch`]; state is
 //!   the predictor batch plus one tally per configuration.
 //! * [`SlicedSession`] — up to [`MAX_LANES`]
-//!   gshare-family lanes over [`PlaneTable`] bit-planes
-//!   ([`crate::measure_sliced`]'s loop); state is the per-lane planes
+//!   gshare-family lanes, each a weakly-taken [`CounterTable`]
+//!   ([`crate::measure_sliced`]'s loop); state is the per-lane tables
 //!   and masks, the per-lane tallies, and the single **shared unmasked
 //!   history register** that must survive chunk boundaries for results
 //!   to stay bit-identical.
@@ -51,7 +51,8 @@ use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use bpred_core::index::{low_bits, pc_word, to_index};
-use bpred_core::{PlaneTable, Predictor};
+use bpred_core::table::CounterTable;
+use bpred_core::{Counter2, Predictor};
 use bpred_trace::PackedRecord;
 
 use crate::metrics::{self, Engine};
@@ -178,7 +179,6 @@ where
 pub struct BatchSession<B, P> {
     batch: B,
     missed: Vec<u64>,
-    tallies: Option<Vec<SiteTally>>,
     branches: u64,
     busy: Duration,
     _predictor: PhantomData<fn() -> *const P>,
@@ -196,26 +196,10 @@ where
         Self {
             batch,
             missed: vec![0; configs],
-            tallies: None,
             branches: 0,
             busy: Duration::ZERO,
             _predictor: PhantomData,
         }
-    }
-
-    /// Turns on per-site misprediction attribution (one tally per
-    /// configuration) for every record fed from here on.
-    pub fn track_sites(&mut self) {
-        let configs = self.missed.len();
-        self.tallies
-            .get_or_insert_with(|| vec![SiteTally::new(); configs]);
-    }
-
-    /// The per-configuration tallies accumulated so far, in input
-    /// order, when [`Self::track_sites`] was called.
-    #[must_use]
-    pub fn site_tallies(&self) -> Option<&[SiteTally]> {
-        self.tallies.as_deref()
     }
 
     /// Feeds one chunk of replayed records to every predictor, in
@@ -228,13 +212,8 @@ where
         let predictors = self.batch.as_mut();
         for r in chunk {
             let (pc, target, taken) = (r.pc, r.target(), r.taken);
-            for (i, (predictor, missed)) in predictors.iter_mut().zip(&mut self.missed).enumerate()
-            {
-                let miss = predictor.retire(pc, Some(target), taken) != taken;
-                *missed += u64::from(miss);
-                if let Some(tallies) = self.tallies.as_mut() {
-                    tallies[i].record(pc, miss);
-                }
+            for (predictor, missed) in predictors.iter_mut().zip(&mut self.missed) {
+                *missed += u64::from(predictor.retire(pc, Some(target), taken) != taken);
             }
             self.branches += 1;
         }
@@ -265,32 +244,30 @@ where
     }
 }
 
-/// Incremental form of the bit-sliced engine: the per-lane
-/// [`PlaneTable`]s, index masks, and mispredict tallies, plus the one
+/// Incremental form of the sliced engine: the per-lane
+/// [`CounterTable`]s, index masks, and mispredict tallies, plus the one
 /// **shared unmasked history register** every lane reads through its
 /// own mask — made explicit here so it survives chunk boundaries.
 #[derive(Debug)]
 pub struct SlicedSession {
-    lanes: usize,
-    tables: Vec<PlaneTable>,
+    tables: Vec<CounterTable>,
     pc_masks: Vec<u64>,
     hist_masks: Vec<u64>,
     missed: Vec<u64>,
-    tallies: Option<Vec<SiteTally>>,
     shared: u64,
     branches: u64,
     busy: Duration,
 }
 
 impl SlicedSession {
-    /// Opens a session over a lane group, every lane's planes
+    /// Opens a session over a lane group, every lane's table
     /// initialised weakly taken and the shared history register empty.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` exceeds [`MAX_LANES`] entries, or a lane has
-    /// `history_bits > table_bits` — the same contract as
-    /// [`crate::measure_sliced`].
+    /// `history_bits > table_bits` or `table_bits > 30` — the same
+    /// contract as [`crate::measure_sliced`].
     #[must_use]
     pub fn new(lanes: &[LaneSpec]) -> Self {
         assert!(
@@ -307,10 +284,9 @@ impl SlicedSession {
             );
         }
         Self {
-            lanes: lanes.len(),
             tables: lanes
                 .iter()
-                .map(|l| PlaneTable::weakly_taken(l.table_bits))
+                .map(|l| CounterTable::new(l.table_bits, Counter2::WEAKLY_TAKEN))
                 .collect(),
             pc_masks: lanes
                 .iter()
@@ -321,26 +297,10 @@ impl SlicedSession {
                 .map(|l| low_bits(u64::MAX, l.history_bits))
                 .collect(),
             missed: vec![0; lanes.len()],
-            tallies: None,
             shared: 0,
             branches: 0,
             busy: Duration::ZERO,
         }
-    }
-
-    /// Turns on per-site misprediction attribution (one tally per
-    /// lane) for every record fed from here on.
-    pub fn track_sites(&mut self) {
-        let lanes = self.lanes;
-        self.tallies
-            .get_or_insert_with(|| vec![SiteTally::new(); lanes]);
-    }
-
-    /// The per-lane tallies accumulated so far, in input order, when
-    /// [`Self::track_sites`] was called.
-    #[must_use]
-    pub fn site_tallies(&self) -> Option<&[SiteTally]> {
-        self.tallies.as_deref()
     }
 
     /// Feeds one chunk of replayed records to every lane, in program
@@ -354,33 +314,20 @@ impl SlicedSession {
         for r in chunk {
             let pcw = pc_word(r.pc);
             let taken = r.taken;
-            for (i, (((table, &pc_mask), &hist_mask), missed)) in self
+            for (((table, &pc_mask), &hist_mask), missed) in self
                 .tables
                 .iter_mut()
                 .zip(&self.pc_masks)
                 .zip(&self.hist_masks)
                 .zip(&mut self.missed)
-                .enumerate()
             {
                 let index = to_index((pcw & pc_mask) ^ (self.shared & hist_mask));
-                let predicted = table.retire(index, taken);
-                let miss = predicted != taken;
-                *missed += u64::from(miss);
-                if let Some(tallies) = self.tallies.as_mut() {
-                    tallies[i].record(r.pc, miss);
-                }
+                *missed += u64::from(table.retire(index, taken) != taken);
             }
             self.shared = (self.shared << 1) | u64::from(taken);
             self.branches += 1;
         }
         self.busy += started.elapsed();
-    }
-
-    /// The shared history register's current value — the checkpoint
-    /// state a resumed session would need alongside the plane tables.
-    #[must_use]
-    pub fn shared_history(&self) -> u64 {
-        self.shared
     }
 
     /// Per-lane results over everything fed so far, without disturbing
@@ -401,7 +348,7 @@ impl SlicedSession {
     /// final per-lane results in input order.
     #[must_use]
     pub fn finish(self) -> Vec<RunResult> {
-        let lanes = self.lanes as u64;
+        let lanes = self.tables.len() as u64;
         metrics::record_engine_drive(Engine::Sliced, self.branches * lanes, lanes, self.busy);
         self.checkpoint()
     }

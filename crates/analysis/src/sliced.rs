@@ -1,12 +1,16 @@
-//! The bit-sliced execution engine: up to 64 predictor lanes advanced
-//! per trace pass through the [`PlaneTable`](bpred_core::PlaneTable)
-//! word-wide counter transition.
+//! The sliced execution engine: up to 64 gshare-family lanes advanced
+//! together over one pass of a packed trace.
+//!
+//! Each lane is a plain byte-per-counter
+//! [`CounterTable`](bpred_core::table::CounterTable). "Sliced" is a
+//! historical name (DESIGN.md §13), kept because the benchmark reports
+//! `engine.sliced.*` and `drive.sliced*`.
 //!
 //! # Lanes
 //!
 //! A *lane* is one gshare-family configuration — table index width `s`
-//! and history length `m <= s` — running against its own
-//! [`PlaneTable`](bpred_core::PlaneTable). Bimodal is the `m = 0`
+//! and history length `m <= s` — running against its own weakly-taken
+//! counter table. Bimodal is the `m = 0`
 //! member of the family (the equivalence `bimodal(s) == gshare(s, 0)`
 //! is a `bpred-core` invariant), so a lane group can mix sweep sizes
 //! and history lengths freely. [`LaneSpec::of`] is the single
@@ -19,14 +23,11 @@
 //! # Why it is fast
 //!
 //! Per retired (lane, branch) pair the loop does: two masked XOR index
-//! ops, one word-wide plane transition (~10 branchless ALU ops on two
-//! `u64` loads), and a branchless mispredict accumulate. Compared to
-//! the batch engine's per-predictor `Counter2::update` — whose
-//! data-dependent branch mispredicts on exactly the hard-to-predict
-//! branches being measured — the sliced loop retires lanes with **no
-//! outcome-dependent branches at all**, and its tables cost two bits
-//! per counter instead of a byte, keeping whole sweep ladders
-//! cache-resident. A single *unmasked* 64-bit shift register serves
+//! ops, one [`CounterTable::retire`](bpred_core::table::CounterTable::retire)
+//! (one bounds check, a load, the branchless saturating select of
+//! [`Counter2::update`](bpred_core::Counter2::update), a store), and a
+//! branchless mispredict accumulate, all monomorphised with no virtual
+//! dispatch. A single *unmasked* 64-bit shift register serves
 //! every lane: lane `m`'s masked read `shared & ((1 << m) - 1)` equals
 //! the per-predictor `m`-bit register, so one history push per record
 //! covers the whole group.
@@ -42,9 +43,9 @@ use bpred_trace::PackedTrace;
 use crate::session::SlicedSession;
 use crate::simulate::RunResult;
 
-/// Maximum lanes per sliced group: one plane word's worth of
-/// configurations per pass.
-pub const MAX_LANES: usize = bpred_core::LANES;
+/// Maximum lanes per sliced group, and so the configurations one
+/// pass over a trace retires together.
+pub const MAX_LANES: usize = 64;
 
 /// One sliceable lane: a gshare-family configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,7 +97,7 @@ impl LaneSpec {
             | PredictorSpec::TriMode { .. }
             | PredictorSpec::TwoBcGskew { .. } => None,
             // The zoo: tagged lookups, dot products and stage gating
-            // have no branchless plane form — explicitly batch-fallback
+            // are not one counter per lane — explicitly batch-fallback
             // (cascades stay so even when every stage is sliceable,
             // because the gates couple the lanes).
             PredictorSpec::Tage { .. }
@@ -111,14 +112,13 @@ impl LaneSpec {
 /// to running the scalar loop per configuration.
 ///
 /// Thin wrapper over [`SlicedSession`]: open, feed the whole trace,
-/// finish. The plane transition loop itself lives in
-/// [`SlicedSession::feed`].
+/// finish. The retire loop itself lives in [`SlicedSession::feed`].
 ///
 /// # Panics
 ///
 /// Panics if `lanes` exceeds [`MAX_LANES`] entries, or a lane has
-/// `history_bits > table_bits` (the gshare constructor's own
-/// invariant).
+/// `history_bits > table_bits` or `table_bits > 30` (the gshare
+/// constructor's own invariants).
 #[must_use]
 pub fn measure_sliced(packed: &PackedTrace, lanes: &[LaneSpec]) -> Vec<RunResult> {
     let mut session = SlicedSession::new(lanes);

@@ -2,7 +2,7 @@
 //! feeding is bit-identical to the one-shot `measure_*` engines for
 //! **every** grammar spec, at every chunk geometry that has bitten a
 //! streaming engine before — size 1 (every boundary), 63/64/65 (either
-//! side of the plane word and shared-history width), and uneven tails.
+//! side of the 64-bit shared-history register), and uneven tails.
 //!
 //! This is the contract that lets the harness sweep path and the
 //! `repro serve` streaming service share one store key space with the
@@ -47,8 +47,8 @@ const SPECS: &[&str] = &[
 ];
 
 /// The chunk sizes every spec is replayed at: every boundary, either
-/// side of the 64-wide plane word / shared-history register, and sizes
-/// that leave uneven tails on the test trace length.
+/// side of the 64-bit shared-history register, and sizes that leave
+/// uneven tails on the test trace length.
 const CHUNKS: &[usize] = &[1, 63, 64, 65, 1000];
 
 fn test_trace(seed: u64, len: u64) -> (Trace, PackedTrace) {
@@ -177,10 +177,9 @@ fn mid_stream_checkpoints_equal_prefix_one_shots() {
 fn site_tallies_sum_to_the_aggregate_for_every_grammar_spec() {
     let (t, packed) = test_trace(59, 2477);
     let sites = bpred_trace::stats::site_table(&t);
-    // Packed: for every grammar spec the tally must cover exactly the
-    // trace's site table, sum exactly to the aggregate result, and be
-    // invisible to chunk boundaries.
-    let mut references = Vec::new();
+    // For every grammar spec the tally must cover exactly the trace's
+    // site table, sum exactly to the aggregate result, and be invisible
+    // to chunk boundaries.
     for spec in SPECS {
         let spec: PredictorSpec = spec.parse().expect("parses");
         let mut whole = PackedSession::<_, dyn Predictor>::new(spec.build());
@@ -216,37 +215,6 @@ fn site_tallies_sum_to_the_aggregate_for_every_grammar_spec() {
                 "spec {spec} chunk {chunk}: tallies see no chunk boundaries"
             );
         }
-        references.push(reference);
-    }
-    // Batch: all 22 configurations at once, fed in chunks; each
-    // configuration's tally must equal its packed twin and sum to its
-    // own aggregate.
-    let specs: Vec<PredictorSpec> = SPECS.iter().map(|s| s.parse().expect("parses")).collect();
-    let batch: Vec<Box<dyn Predictor>> = specs.iter().map(|s| s.build()).collect();
-    let mut session = BatchSession::new(batch);
-    session.track_sites();
-    feed_in_chunks(packed.len(), 65, |s, e| {
-        session.feed((s..e).map(|i| packed.record(i)));
-    });
-    let tallies = session.site_tallies().expect("tracking is on").to_vec();
-    let results = session.finish();
-    assert_eq!(tallies.len(), SPECS.len());
-    for ((tally, result), reference) in tallies.iter().zip(&results).zip(&references) {
-        assert_eq!(tally.totals(), (result.branches, result.mispredictions));
-        assert_eq!(tally, reference, "batch tallies match the packed engine");
-    }
-    // Sliced: per-lane tallies over the sliceable subset.
-    let lanes: Vec<LaneSpec> = specs.iter().filter_map(LaneSpec::of).collect();
-    let mut session = SlicedSession::new(&lanes);
-    session.track_sites();
-    feed_in_chunks(packed.len(), 63, |s, e| {
-        session.feed((s..e).map(|i| packed.record(i)));
-    });
-    let tallies = session.site_tallies().expect("tracking is on").to_vec();
-    let results = session.finish();
-    assert_eq!(tallies.len(), lanes.len());
-    for (tally, result) in tallies.iter().zip(&results) {
-        assert_eq!(tally.totals(), (result.branches, result.mispredictions));
     }
 }
 

@@ -7,9 +7,8 @@
 //! instead of sampling traces, it *enumerates* every micro-trace up to a
 //! bounded length over a small (pc × outcome) alphabet and compares all
 //! the engine paths — scalar, packed single-predictor, packed batched,
-//! and (for gshare-family specs) the bit-sliced plane engine — on every
-//! one of them, then adds one long pseudo-random trace that straddles
-//! the engine's block boundary.
+//! and (for gshare-family specs) the sliced lane engine — on every
+//! one of them, then adds one long pseudo-random trace.
 //!
 //! Two further passes pin the sliced engine down:
 //!
@@ -22,7 +21,7 @@
 //! * [`check_sliced_grid`] enumerates **every** sliceable shape up to a
 //!   table-width bound — all `(s, m <= s)` gshare pairs plus every
 //!   bimodal width — and proves each lane bit-identical to scalar on
-//!   block-straddling traces.
+//!   two pseudo-random traces.
 
 use bpred_analysis::sliced::{measure_sliced_chunks, LaneSpec};
 use bpred_analysis::{measure, measure_batch, measure_packed, RunResult};
@@ -75,8 +74,8 @@ fn trace_from_digits(name: &str, digits: &[usize]) -> Trace {
     Trace::from_records(name, records)
 }
 
-/// A deterministic pseudo-random trace long enough to straddle the
-/// packed engine's internal block size (4096 records per block).
+/// A deterministic pseudo-random trace of `records` conditional
+/// branches over `sites` branch sites.
 fn boundary_trace(records: usize, sites: u64) -> Trace {
     let mut t = Trace::new("boundary");
     let mut lcg: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -112,7 +111,7 @@ fn compare_on(trace: &Trace, specs: &[PredictorSpec], check: &mut EngineCheck) {
     let mut fleet: Vec<Box<dyn Predictor>> = specs.iter().map(PredictorSpec::build).collect();
     let batched = measure_batch(&packed, &mut fleet);
 
-    // One bit-sliced pass covering every sliceable spec; non-sliceable
+    // One sliced pass covering every sliceable spec; non-sliceable
     // specs (bi-mode's cross-bank choice update among them) have no
     // sliced result — they are explicit batch fallbacks, and the
     // coverage audit proves that classification is deliberate.
@@ -163,8 +162,8 @@ fn compare_on(trace: &Trace, specs: &[PredictorSpec], check: &mut EngineCheck) {
 
 /// Enumerates every micro-trace of length `1..=max_len` over the
 /// 4-symbol alphabet and compares the three engines on each, for every
-/// spec in `specs`; then repeats the comparison on one long
-/// block-straddling trace.
+/// spec in `specs`; then repeats the comparison on one
+/// `boundary_records`-long pseudo-random trace.
 #[must_use]
 pub fn check_engines(
     specs: &[PredictorSpec],
@@ -245,7 +244,7 @@ impl SlicedCoverage {
 /// * sliceability is decided per grammar family — two configs of the
 ///   same family must never land on different sides;
 /// * every sliceable spec behaviourally matches the scalar loop on a
-///   block-straddling probe trace (a misclassified family would
+///   pseudo-random probe trace (a misclassified family would
 ///   diverge here, not silently in a sweep);
 /// * both sides are populated, so the fallback path itself stays
 ///   exercised.
@@ -293,7 +292,7 @@ pub fn sliced_coverage(specs: &[PredictorSpec]) -> SlicedCoverage {
     }
 
     // Behavioural side: every sliceable target agrees with scalar on a
-    // probe trace that straddles the packed engine's block boundary.
+    // pseudo-random probe trace.
     let probe = boundary_trace(6_000, 23);
     let mut probe_check = EngineCheck {
         traces: 0,
@@ -310,7 +309,7 @@ pub fn sliced_coverage(specs: &[PredictorSpec]) -> SlicedCoverage {
 /// Enumerates **every** sliceable shape up to `max_table_bits` — all
 /// gshare `(s, m <= s)` pairs and every bimodal width — and proves
 /// each lane's sliced run bit-identical to the scalar loop on two
-/// pseudo-random traces, one straddling the packed block boundary.
+/// pseudo-random traces, one short and one `boundary_records` long.
 #[must_use]
 pub fn check_sliced_grid(max_table_bits: u32, boundary_records: usize) -> EngineCheck {
     let mut check = EngineCheck {
@@ -437,7 +436,7 @@ mod tests {
         // the batch path — tagged allocation, weight dot products, and
         // cross-stage gating all break the one-counter-per-lane shape —
         // and still agree across the scalar, packed, and batched
-        // engines on every micro-trace and a block-straddling probe.
+        // engines on every micro-trace and a long probe trace.
         let zoo = specs(&[
             "tage:t=3,h=8,tag=5,e=4",
             "perceptron:n=4,h=6,theta=25",

@@ -17,7 +17,7 @@
 //! * [`registry`] — the target list, the spec-grammar completeness and
 //!   round-trip audit, and the structural cost audit;
 //! * [`engine`] — equivalence of the scalar, packed, batched, and
-//!   bit-sliced execution paths on exhaustively enumerated
+//!   sliced execution paths on exhaustively enumerated
 //!   micro-traces, the lane-classification audit (sliceable specs are
 //!   bit-identical to scalar; everything else is an explicit batch
 //!   fallback), and the exhaustive sliced-shape grid;
@@ -96,16 +96,15 @@ const ORACLE_CAP: usize = 200_000;
 /// Engine-equivalence coverage: every micro-trace up to this length
 /// over the 4-symbol alphabet ...
 const ENGINE_TRACE_LEN: usize = 3;
-/// ... plus one pseudo-random trace straddling the 4096-record block
-/// boundary of the packed engine.
+/// ... plus one long pseudo-random trace, over which tables fill and
+/// histories wrap many times.
 const ENGINE_BOUNDARY_RECORDS: usize = 9_000;
 
 /// Sliced-grid bound: every gshare `(s, m <= s)` pair and every bimodal
 /// width with `s` up to this many index bits is proven bit-identical
 /// to the scalar loop.
 const SLICED_GRID_BITS: u32 = 6;
-/// Record count of the sliced grid's longer probe trace (straddles the
-/// packed engine's 4096-record block boundary).
+/// Record count of the sliced grid's longer probe trace.
 const SLICED_GRID_RECORDS: usize = 5_000;
 
 /// The specs driven through all three execution engines: one
@@ -222,7 +221,7 @@ pub fn verify(root: &Path) -> VerifyReport {
     report.record("engine/sliced-coverage", ok, detail);
 
     // Every sliceable shape up to the grid bound, bit-identical to the
-    // scalar reference on block-straddling traces.
+    // scalar reference on two pseudo-random traces.
     let grid = engine::check_sliced_grid(SLICED_GRID_BITS, SLICED_GRID_RECORDS);
     let (ok, detail) = first_or(&grid.violations, grid.summary());
     report.record("engine/sliced-grid", ok, detail);

@@ -66,14 +66,18 @@ impl Counter2 {
     }
 
     /// Trains the counter with an observed outcome, saturating at 0 and 3.
+    ///
+    /// Both saturating steps are computed and the outcome selects one,
+    /// so no branch depends on the outcome: in a simulator the outcome
+    /// stream is the hard-to-predict data being measured.
+    #[inline]
     pub fn update(&mut self, taken: bool) {
-        if taken {
-            if self.value < 3 {
-                self.value += 1;
-            }
-        } else if self.value > 0 {
-            self.value -= 1;
-        }
+        let v = self.value;
+        self.value = if taken {
+            v + u8::from(v < 3)
+        } else {
+            v - u8::from(v > 0)
+        };
     }
 
     /// Returns the counter that results from training with `taken`,

@@ -50,7 +50,6 @@ pub mod cost;
 pub mod counter;
 pub mod history;
 pub mod index;
-pub mod plane;
 pub mod predictor;
 pub mod predictors;
 pub mod spec;
@@ -58,7 +57,6 @@ pub mod table;
 
 pub use counter::{Counter2, SatCounter};
 pub use history::{GlobalHistory, PerAddressHistories};
-pub use plane::{CounterPlanes, PlaneTable, LANES};
 pub use predictor::{CounterId, Predictor};
 pub use predictors::agree::Agree;
 pub use predictors::bimodal::Bimodal;

@@ -144,17 +144,22 @@ impl BiMode {
     ///
     /// # Panics
     ///
-    /// Panics if any table width exceeds 30 bits, or if
-    /// `history_bits > direction_bits` with a shared index.
+    /// Panics if any table width exceeds 30 bits, if
+    /// `history_bits > direction_bits` with a shared index, or if
+    /// `direction_bits` is zero with skewed per-bank indices.
     #[must_use]
     pub fn new(config: BiModeConfig) -> Self {
-        if config.index_share == IndexShare::Shared {
-            assert!(
+        match config.index_share {
+            IndexShare::Shared => assert!(
                 config.history_bits <= config.direction_bits,
                 "bi-mode history ({}) must not exceed direction index bits ({}) with a shared index",
                 config.history_bits,
                 config.direction_bits
-            );
+            ),
+            IndexShare::SkewedPerBank => assert!(
+                config.direction_bits >= 1,
+                "bi-mode skewed bank indices need at least 1 direction index bit"
+            ),
         }
         let (init0, init1) = match config.bank_init {
             BankInit::Split => (Counter2::WEAKLY_NOT_TAKEN, Counter2::WEAKLY_TAKEN),

@@ -27,6 +27,10 @@ impl Gselect {
     /// Panics if `address_bits + history_bits > 30`.
     #[must_use]
     pub fn new(address_bits: u32, history_bits: u32) -> Self {
+        assert!(
+            u64::from(address_bits) + u64::from(history_bits) <= 30,
+            "gselect index must be <= 30 bits, got {address_bits} + {history_bits}"
+        );
         Self {
             table: CounterTable::new(address_bits + history_bits, Counter2::WEAKLY_TAKEN),
             history: GlobalHistory::new(history_bits),

@@ -52,6 +52,10 @@ impl Gskew {
     /// Panics if `bank_bits` is zero or greater than 30.
     #[must_use]
     pub fn with_update(bank_bits: u32, history_bits: u32, update: GskewUpdate) -> Self {
+        assert!(
+            (1..=30).contains(&bank_bits),
+            "gskew bank index must be 1..=30 bits, got {bank_bits}"
+        );
         Self {
             banks: std::array::from_fn(|_| CounterTable::new(bank_bits, Counter2::WEAKLY_TAKEN)),
             history: GlobalHistory::new(history_bits),

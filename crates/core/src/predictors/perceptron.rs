@@ -61,7 +61,9 @@ impl Perceptron {
     /// `⌊1.93 h + 14⌋`.
     #[must_use]
     pub fn default_theta(history_bits: u32) -> u32 {
-        (193 * history_bits + 1400) / 100
+        // Saturating, so an out-of-range length read from a spec string
+        // yields a value instead of overflowing before it is rejected.
+        history_bits.saturating_mul(193).saturating_add(1400) / 100
     }
 
     fn row_of(&self, pc: u64) -> usize {

@@ -108,10 +108,21 @@ impl TwoLevel {
     ///
     /// # Panics
     ///
-    /// Panics if `address_bits + history_bits > 30`, or if a per-address
-    /// first level is requested with `index_bits > 30`.
+    /// Panics if `address_bits + history_bits > 30`, if a per-address
+    /// or per-set first level is requested with `index_bits > 30`, or if
+    /// a per-set `shift` is 64 or more.
     #[must_use]
     pub fn new(source: HistorySource, address_bits: u32, history_bits: u32) -> Self {
+        assert!(
+            u64::from(address_bits) + u64::from(history_bits) <= 30,
+            "two-level PHT index must be <= 30 bits, got {address_bits} + {history_bits}"
+        );
+        if let HistorySource::PerSet { shift, .. } = source {
+            assert!(
+                shift < 64,
+                "per-set address shift must be < 64, got {shift}"
+            );
+        }
         let histories = match source {
             HistorySource::Global => Histories::Global(GlobalHistory::new(history_bits)),
             HistorySource::PerAddress { index_bits } => {

@@ -53,6 +53,10 @@ impl TwoBcGskew {
     #[must_use]
     pub fn new(bank_bits: u32, long_history: u32) -> Self {
         assert!(
+            (1..=30).contains(&bank_bits),
+            "2bc-gskew bank index must be 1..=30 bits, got {bank_bits}"
+        );
+        assert!(
             long_history <= bank_bits,
             "2bc-gskew history ({long_history}) must not exceed bank index bits ({bank_bits})"
         );

@@ -112,6 +112,10 @@ impl Yags {
             tag_bits <= 16,
             "partial tags are at most 16 bits, got {tag_bits}"
         );
+        assert!(
+            cache_bits <= 30,
+            "exception cache index must be <= 30 bits, got {cache_bits}"
+        );
         Self {
             choice: CounterTable::new(choice_bits, Counter2::WEAKLY_TAKEN),
             caches: [

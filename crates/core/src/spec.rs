@@ -3,8 +3,10 @@
 //! configuration can round-trip through a command line or a results file.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::str::FromStr;
 
+use crate::history::MAX_HISTORY_BITS;
 use crate::predictor::Predictor;
 use crate::predictors::agree::Agree;
 use crate::predictors::bimodal::Bimodal;
@@ -152,9 +154,9 @@ impl PredictorSpec {
     /// # Panics
     ///
     /// Panics when the parameters violate a predictor's constructor
-    /// constraints (for example `history_bits > table_bits` for gshare);
-    /// specs produced by [`FromStr`] parsing are *not* pre-validated
-    /// against those constraints.
+    /// constraints (for example `history_bits > table_bits` for gshare).
+    /// Specs produced by [`FromStr`] parsing never do: the parser
+    /// rejects every such combination with a [`ParseSpecError`].
     #[must_use]
     pub fn build(&self) -> Box<dyn Predictor> {
         match *self {
@@ -252,6 +254,154 @@ impl PredictorSpec {
             h = h.wrapping_mul(FNV_PRIME);
         }
         h
+    }
+
+    /// Checks every field combination a constructor asserts on, naming
+    /// the grammar keys of the first violated one, so a spec that
+    /// passes builds without panicking. Cascade stages are checked when
+    /// they are parsed.
+    fn check(&self) -> Result<(), String> {
+        match *self {
+            PredictorSpec::AlwaysTaken
+            | PredictorSpec::AlwaysNotTaken
+            | PredictorSpec::Btfnt
+            | PredictorSpec::Cascade(_) => Ok(()),
+            PredictorSpec::Bimodal { table_bits } | PredictorSpec::Tournament { table_bits } => {
+                within("s", table_bits, 0..=MAX_INDEX_BITS)
+            }
+            PredictorSpec::Gshare {
+                table_bits,
+                history_bits,
+            } => {
+                within("s", table_bits, 0..=MAX_INDEX_BITS)?;
+                within("h", history_bits, 0..=table_bits)
+            }
+            PredictorSpec::Gselect {
+                address_bits,
+                history_bits,
+            } => index_sum(address_bits, history_bits),
+            PredictorSpec::TwoLevel {
+                source,
+                address_bits,
+                history_bits,
+            } => {
+                match source {
+                    HistorySource::Global => {}
+                    HistorySource::PerAddress { index_bits } => {
+                        within("i", index_bits, 0..=MAX_INDEX_BITS)?;
+                    }
+                    HistorySource::PerSet { index_bits, shift } => {
+                        within("i", index_bits, 0..=MAX_INDEX_BITS)?;
+                        within("k", shift, 0..=63)?;
+                    }
+                }
+                index_sum(address_bits, history_bits)
+            }
+            PredictorSpec::BiMode(config) => {
+                within("c", config.choice_bits, 0..=MAX_INDEX_BITS)?;
+                match config.index_share {
+                    IndexShare::Shared => {
+                        within("d", config.direction_bits, 0..=MAX_INDEX_BITS)?;
+                        within("h", config.history_bits, 0..=config.direction_bits)
+                    }
+                    IndexShare::SkewedPerBank => {
+                        within("d", config.direction_bits, 1..=MAX_INDEX_BITS)?;
+                        within("h", config.history_bits, 0..=MAX_HISTORY_BITS)
+                    }
+                }
+            }
+            PredictorSpec::Agree {
+                table_bits,
+                history_bits,
+                bias_bits,
+            } => {
+                within("s", table_bits, 0..=MAX_INDEX_BITS)?;
+                within("h", history_bits, 0..=table_bits)?;
+                within("b", bias_bits, 0..=MAX_INDEX_BITS)
+            }
+            PredictorSpec::Gskew {
+                bank_bits,
+                history_bits,
+                ..
+            } => {
+                within("s", bank_bits, 1..=MAX_INDEX_BITS)?;
+                within("h", history_bits, 0..=MAX_HISTORY_BITS)
+            }
+            PredictorSpec::Yags {
+                choice_bits,
+                cache_bits,
+                history_bits,
+                tag_bits,
+            } => {
+                within("c", choice_bits, 0..=MAX_INDEX_BITS)?;
+                within("e", cache_bits, 0..=MAX_INDEX_BITS)?;
+                within("h", history_bits, 0..=MAX_HISTORY_BITS)?;
+                within("t", tag_bits, 0..=16)
+            }
+            PredictorSpec::TriMode {
+                direction_bits,
+                choice_bits,
+                history_bits,
+            } => {
+                within("d", direction_bits, 0..=MAX_INDEX_BITS)?;
+                within("c", choice_bits, 0..=MAX_INDEX_BITS)?;
+                within("h", history_bits, 0..=direction_bits)
+            }
+            PredictorSpec::TwoBcGskew {
+                bank_bits,
+                history_bits,
+            } => {
+                within("s", bank_bits, 1..=MAX_INDEX_BITS)?;
+                within("h", history_bits, 0..=bank_bits)
+            }
+            PredictorSpec::Tage {
+                tables,
+                max_history,
+                tag_bits,
+                entry_bits,
+            } => {
+                within("t", tables, 1..=16)?;
+                within("h", max_history, 1..=MAX_HISTORY_BITS)?;
+                within("tag", tag_bits, 1..=16)?;
+                within("e", entry_bits, 1..=20)
+            }
+            PredictorSpec::Perceptron {
+                rows_bits,
+                history_bits,
+                ..
+            } => {
+                within("n", rows_bits, 0..=20)?;
+                within("h", history_bits, 1..=MAX_HISTORY_BITS)
+            }
+        }
+    }
+}
+
+/// The widest table index any constructor accepts.
+const MAX_INDEX_BITS: u32 = 30;
+
+/// Rejects a parameter outside the range its constructor accepts.
+fn within(key: &str, value: u32, range: RangeInclusive<u32>) -> Result<(), String> {
+    if range.contains(&value) {
+        Ok(())
+    } else {
+        Err(format!(
+            "`{key}` = {value} is outside {}..={}",
+            range.start(),
+            range.end()
+        ))
+    }
+}
+
+/// Rejects an address + history concatenation wider than a table index.
+fn index_sum(address_bits: u32, history_bits: u32) -> Result<(), String> {
+    if u64::from(address_bits) + u64::from(history_bits) <= u64::from(MAX_INDEX_BITS) {
+        Ok(())
+    } else {
+        Err(format!(
+            "address + history bits {address_bits} + {history_bits} exceed the \
+             {MAX_INDEX_BITS}-bit table index"
+        ))
     }
 }
 
@@ -448,7 +598,7 @@ impl FromStr for PredictorSpec {
             return Ok(PredictorSpec::Cascade(stages));
         }
         let p = Params::parse(name, keys, rest)?;
-        match name {
+        let spec = match name {
             "always-taken" => Ok(PredictorSpec::AlwaysTaken),
             "always-not-taken" => Ok(PredictorSpec::AlwaysNotTaken),
             "btfnt" => Ok(PredictorSpec::Btfnt),
@@ -589,7 +739,10 @@ impl FromStr for PredictorSpec {
                 })
             }
             other => Err(ParseSpecError::new(format!("unknown predictor `{other}`"))),
-        }
+        }?;
+        spec.check()
+            .map_err(|rule| ParseSpecError::new(format!("`{name}`: {rule}")))?;
+        Ok(spec)
     }
 }
 
@@ -815,6 +968,37 @@ mod tests {
         assert!(err.to_string().contains("key=value"));
         let err = PredictorSpec::from_str("bimode:d=8,choice=sometimes").unwrap_err();
         assert!(err.to_string().contains("partial|always"));
+    }
+
+    #[test]
+    fn unbuildable_specs_are_parse_errors_naming_the_key() {
+        // Each parses as grammar but violates a constructor bound; the
+        // error names the predictor and the offending key.
+        let cases = [
+            ("gshare:s=4,h=9", "`gshare`: `h` = 9"),
+            ("bimodal:s=31", "`bimodal`: `s` = 31"),
+            ("bimode:d=4,h=9", "`bimode`: `h` = 9"),
+            ("bimode:d=0,index=skewed", "`bimode`: `d` = 0"),
+            ("gskew:s=0,h=0", "`gskew`: `s` = 0"),
+            ("yags:c=8,e=31,h=6", "`yags`: `e` = 31"),
+            ("sag:i=4,k=64,h=6", "`sag`: `k` = 64"),
+            ("tage:t=40,h=10,e=5", "`tage`: `t` = 40"),
+            ("perceptron:n=30,h=10", "`perceptron`: `n` = 30"),
+            (
+                "perceptron:n=4,h=4294967295",
+                "`perceptron`: `h` = 4294967295",
+            ),
+            ("gselect:a=20,h=20", "bits 20 + 20 exceed"),
+            ("gselect:a=15,h=16", "bits 15 + 16 exceed"),
+            ("pas:i=4,a=4294967295,h=1", "bits 4294967295 + 1 exceed"),
+            ("cascade:bimodal:s=4;gshare:s=4,h=9", "`gshare`: `h` = 9"),
+        ];
+        for (input, want) in cases {
+            let err = PredictorSpec::from_str(input).unwrap_err().to_string();
+            assert!(err.contains(want), "{input}: {err}");
+        }
+        // The widest concatenation that fits still parses.
+        assert!(PredictorSpec::from_str("gselect:a=14,h=16").is_ok());
     }
 
     #[test]

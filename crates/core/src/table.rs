@@ -136,6 +136,25 @@ impl CounterTable {
         );
     }
 
+    /// Predicts the counter at `index`, then trains it with `taken`:
+    /// one retired branch on one bounds check. Returns the pre-update
+    /// prediction, exactly what [`Self::predict`] then [`Self::update`]
+    /// observe and leave.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at the caller) if `index` is out of range, naming the
+    /// index and the table length.
+    #[inline]
+    #[track_caller]
+    pub fn retire(&mut self, index: usize, taken: bool) -> bool {
+        self.check_index(index);
+        let counter = &mut self.counters[index];
+        let predicted = counter.predict();
+        counter.update(taken);
+        predicted
+    }
+
     /// Restores every counter to the initialisation state.
     pub fn reset(&mut self) {
         let init = self.init;
@@ -202,6 +221,33 @@ mod tests {
         assert_eq!(t.len(), 1);
         t.update(0, true);
         assert!(t.predict(0));
+    }
+
+    #[test]
+    fn retire_matches_predict_then_update() {
+        // A 64-entry table over a random index/outcome sequence, and a
+        // 1-entry table where every branch lands on the same counter.
+        for bits in [6u32, 0] {
+            let mut fused = CounterTable::new(bits, Counter2::WEAKLY_TAKEN);
+            let mut split = fused.clone();
+            let mut x = 9u64;
+            for _ in 0..2000 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let index = (x >> 33) as usize % fused.len();
+                let taken = x & 1 == 1;
+                let want = split.predict(index);
+                split.update(index, taken);
+                assert_eq!(fused.retire(index, taken), want, "{bits} index bits");
+            }
+            assert_eq!(fused, split, "{bits} index bits");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "counter index 1 out of range for table of 1 entries")]
+    fn retire_checks_the_index() {
+        let mut t = CounterTable::new(0, Counter2::WEAKLY_TAKEN);
+        let _ = t.retire(1, true);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! training wrapper — over one packed trace, stored under one key.
 //! [`cached_rates`] plans each (point, trace) pair as a store job,
 //! serves the hits, and measures the misses: plain gshare-family
-//! points on the bit-sliced engine ([`bpred_analysis::measure_sliced`]),
+//! points on the sliced engine ([`bpred_analysis::measure_sliced`]),
 //! every other point in one boxed [`bpred_analysis::measure_batch`]
 //! pass per trace, so each trace is streamed once for all of its
 //! fallback points.
@@ -106,7 +106,7 @@ impl Rate {
 /// [`LaneSpec::of`]:
 ///
 /// - **plain gshare-family** points (bimodal included) are packed into
-///   [`bpred_analysis::MAX_LANES`]-wide lane groups for the bit-sliced
+///   [`bpred_analysis::MAX_LANES`]-wide lane groups for the sliced
 ///   engine, one pass per group;
 /// - **every other** point — other families, flushed and delayed
 ///   measurements — goes into one boxed batch pass per trace.

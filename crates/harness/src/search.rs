@@ -32,7 +32,7 @@ pub struct BestGshare {
 }
 
 /// Exhaustively searches `m in 0..=s` for the best suite-average
-/// gshare at table size `2^s`. All candidates ride the bit-sliced
+/// gshare at table size `2^s`. All candidates ride the sliced
 /// engine in 64-wide lane groups, one pass per (trace, group); `jobs`
 /// bounds the parallelism over the flattened work items.
 ///

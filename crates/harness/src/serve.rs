@@ -1187,6 +1187,45 @@ mod tests {
     }
 
     #[test]
+    fn an_unbuildable_spec_is_refused_before_send_and_the_shard_keeps_serving() {
+        let (addr, handle) = start_server(2);
+        let stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        // Grammatical, but gshare's history may not exceed its index.
+        writeln!(writer, "PREDICT gshare:s=4,h=9 0123456789abcdef").expect("send");
+        let line = read_reply_line(&mut reader).expect("reply");
+        assert!(
+            line.starts_with("ERR") && line.contains("`h` = 9"),
+            "got `{line}`"
+        );
+        // The same connection is the same tenant, so the same shard: it
+        // must still measure a valid stream.
+        let spec: PredictorSpec = "gshare:s=6,h=6".parse().expect("parses");
+        let trace = lcg_trace("after-refusal", unique_seed(0x5AFE), 800);
+        writeln!(writer, "PREDICT {spec} {:016x}", trace.digest()).expect("send");
+        assert_eq!(read_reply_line(&mut reader).expect("reply"), "SEND");
+        let records = trace.records();
+        writeln!(writer, "FEED {}", records.len()).expect("send");
+        writer.write_all(&encode_records(records)).expect("send");
+        writeln!(writer, "DONE").expect("send");
+        let line = read_reply_line(&mut reader).expect("reply");
+        let parts: Vec<&str> = line.split_whitespace().collect();
+        let got = match parts.as_slice() {
+            ["DONE", b, m] => parse_counts(b, m).expect("counts"),
+            _ => panic!("expected DONE, got `{line}`"),
+        };
+        assert_eq!(got, local_reference(&trace, &spec));
+        drop(writer);
+        drop(reader);
+        client_shutdown(&addr).expect("shutdown");
+        handle.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
     fn protocol_errors_name_the_problem() {
         let (addr, handle) = start_server(1);
         let stream = TcpStream::connect(&addr).expect("connect");

@@ -9,7 +9,7 @@
 //! Every scheme's whole ladder — for `gshare.best`, every `(s, m)`
 //! candidate of every ladder size at once — rides
 //! [`engine::cached_rates`]: gshare-family ladders are packed into
-//! 64-lane groups for the bit-sliced engine, bi-mode falls back to one
+//! 64-lane groups for the sliced engine, bi-mode falls back to one
 //! batch pass per trace, and every (trace, group) pass is sharded
 //! across threads. Work accounting is global (see
 //! [`crate::observe`]); the sweeps return points only.

@@ -263,8 +263,6 @@ impl PackedTrace {
 /// once a block fills, its slice of the packed columns is immutable
 /// (the bit columns only ever append to the final partial word), so
 /// consumers may stream sealed blocks while the tail is still open.
-/// Matches the batched engine's block size so one sealed block is one
-/// cache-resident unit of work.
 pub const SEAL_RECORDS: usize = 4096;
 
 /// Chunked [`PackedTrace`] construction for piecewise trace ingestion.
