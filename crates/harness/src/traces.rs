@@ -4,19 +4,20 @@
 //! (workload, scale) and cached — in memory within a `TraceSet`, and
 //! optionally on disk in the binary codec so repeated `repro`
 //! invocations skip regeneration. The harness holds every trace in one
-//! form only, the packed (SoA) [`PackedTrace`]: a cache hit streams the
-//! file straight into a [`PackedTraceBuilder`], and a miss packs the
-//! generated trace and drops its array-of-structs form, so no `Trace`
-//! outlives [`load_trace`].
+//! form only, the packed (SoA) [`PackedTrace`], and never builds the
+//! array-of-structs `Trace`: a cache hit streams the file straight into
+//! a [`PackedTraceBuilder`], and a miss runs the workload's generator
+//! once into the builder and, through a [`BinaryWriter`], into the
+//! cache file's temp twin, which is renamed into place.
 
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 
-use bpred_trace::{PackedTrace, PackedTraceBuilder, Trace};
+use bpred_trace::{BinaryWriter, PackedTrace, PackedTraceBuilder};
 use bpred_workloads::{Scale, Suite, Workload};
 
 use crate::parallel;
@@ -117,26 +118,47 @@ fn cached_path(workload: &Workload, scale: Scale) -> Option<PathBuf> {
     })
 }
 
-/// Writes `trace` to `path` atomically: serialise into a uniquely named
-/// temp file in the same directory, then rename into place. Readers
-/// never observe a half-written file (a crash mid-write leaves only the
-/// temp file behind) and concurrent writers of the same trace race
-/// harmlessly — renames are atomic and both sides wrote identical
-/// bytes.
-fn write_cache_atomically(trace: &Trace, path: &Path) {
-    static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed) // ordering-audited: uniqueness needs only RMW atomicity; nothing is published through the counter
-    ));
-    let written = File::create(&tmp).is_ok_and(|file| {
-        let mut writer = BufWriter::new(file);
-        bpred_trace::write_binary(trace, &mut writer).is_ok() && writer.flush().is_ok()
-    });
-    // Best-effort cache write; failure only costs regeneration.
-    if !written || fs::rename(&tmp, path).is_err() {
-        fs::remove_file(&tmp).ok();
+/// A cache file being written: records stream into a uniquely named
+/// temp file in the same directory, which [`CacheFile::publish`] renames
+/// into place once the generator has returned and the header's record
+/// count is patched. Readers never observe a half-written file (a crash
+/// mid-write leaves only the temp file behind) and concurrent writers
+/// of the same trace race harmlessly — renames are atomic and both
+/// sides wrote identical bytes.
+struct CacheFile<'p> {
+    path: &'p Path,
+    tmp: PathBuf,
+    writer: BinaryWriter<BufWriter<File>>,
+}
+
+impl<'p> CacheFile<'p> {
+    /// Starts the temp twin of `path` with the header of a trace named
+    /// `name`, or `None` if it cannot be created.
+    fn create(path: &'p Path, name: &str) -> Option<Self> {
+        static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed) // ordering-audited: uniqueness needs only RMW atomicity; nothing is published through the counter
+        ));
+        let file = File::create(&tmp).ok()?;
+        match BinaryWriter::new(BufWriter::new(file), name) {
+            Ok(writer) => Some(Self { path, tmp, writer }),
+            Err(_) => {
+                fs::remove_file(&tmp).ok();
+                None
+            }
+        }
+    }
+
+    /// Patches the record count and renames the file into place.
+    /// Best-effort: a failure removes the temp file and costs only a
+    /// regeneration next time.
+    fn publish(self) {
+        let written = self.writer.finish().is_ok();
+        if !written || fs::rename(&self.tmp, self.path).is_err() {
+            fs::remove_file(&self.tmp).ok();
+        }
     }
 }
 
@@ -156,8 +178,8 @@ fn stream_packed(reader: impl Read) -> Option<PackedTrace> {
 /// Loads one workload's packed trace through the cache file at `path`
 /// (`None`: caching disabled), returning it and whether the file
 /// served it. A file that fails to decode is removed and the trace is
-/// regenerated; a regenerated trace is written back atomically, packed,
-/// and dropped.
+/// regenerated: the generator runs once, into the packed builder and,
+/// when the cache file can be written, into that file beside it.
 fn load_through(path: Option<&Path>, workload: &Workload, scale: Scale) -> (PackedTrace, bool) {
     if let Some(path) = path {
         if let Ok(file) = File::open(path) {
@@ -168,12 +190,15 @@ fn load_through(path: Option<&Path>, workload: &Workload, scale: Scale) -> (Pack
             fs::remove_file(path).ok();
         }
     }
-    let trace = workload.trace(scale);
-    if let Some(path) = path {
-        write_cache_atomically(&trace, path);
+    let mut builder = PackedTraceBuilder::new(workload.name());
+    match path.and_then(|path| CacheFile::create(path, workload.name())) {
+        Some(mut file) => {
+            workload.generate(scale, &mut (&mut builder, &mut file.writer));
+            file.publish();
+        }
+        None => workload.generate(scale, &mut builder),
     }
-    let packed = PackedTrace::build(&trace).expect("workload site tables fit 32-bit ids"); // panic-audited: synthetic workloads have far fewer than 2^32 branch sites
-    (packed, false)
+    (builder.finish(), false)
 }
 
 /// Loads one workload's trace from the cache, or generates it, packed.
@@ -265,11 +290,20 @@ mod tests {
     fn cold_and_warm_loads_pack_every_workload_identically() {
         let dir = private_dir("loads");
         for w in Workload::all() {
-            let want = PackedTrace::build(&w.trace(Scale::Smoke)).expect("packs");
+            let trace = w.trace(Scale::Smoke);
+            let want = PackedTrace::build(&trace).expect("packs");
+            let mut bytes = Vec::new();
+            bpred_trace::write_binary(&trace, &mut bytes).expect("encodes");
+            drop(trace);
             let path = dir.join(format!("{}.bptr", w.name()));
             let (cold, hit) = load_through(Some(&path), &w, Scale::Smoke);
             assert!(!hit, "{}: an empty cache generates", w.name());
             assert_eq!(cold, want, "{}: generated", w.name());
+            assert!(
+                fs::read(&path).expect("the miss wrote the cache file") == bytes,
+                "{}: the streamed cache file is write_binary's bytes",
+                w.name()
+            );
             let (warm, hit) = load_through(Some(&path), &w, Scale::Smoke);
             assert!(hit, "{}: the written cache serves", w.name());
             assert_eq!(warm, want, "{}: streamed from the cache", w.name());
@@ -291,8 +325,12 @@ mod tests {
         cut.truncate(body + 17 * 10 + 5);
         let mut bad_kind = good.clone();
         bad_kind[body + 16] = 7 << 1;
-        let mut oversized = good;
+        let mut oversized = good.clone();
         oversized[body - 8..body].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        let mut lowered = good.clone();
+        lowered[body - 8..body].copy_from_slice(&10u64.to_le_bytes());
+        let mut unpatched = good;
+        unpatched[body - 8..body].copy_from_slice(&0u64.to_le_bytes());
 
         let dir = private_dir("corrupt");
         let path = dir.join("compress.bptr");
@@ -300,6 +338,8 @@ mod tests {
             ("cut", cut),
             ("bad kind", bad_kind),
             ("oversized", oversized),
+            ("count lowered", lowered),
+            ("count 0 with records", unpatched),
         ] {
             fs::write(&path, bytes).expect("write corrupt cache");
             let (packed, hit) = load_through(Some(&path), &w, Scale::Smoke);

@@ -6,34 +6,43 @@
 //! to static analysis (`bpred-cfa`) — the trace and the CFG provably
 //! come from one artefact.
 
-use bpred_trace::Trace;
+use bpred_trace::{RecordSink, Trace};
 
 use crate::asm::assemble;
 use crate::machine::{BranchObservation, Machine};
 
 /// Builds and runs a kernel, returning its branch trace.
 fn run_kernel(name: &str, source: &str, memory_words: usize, max_steps: u64) -> Trace {
-    run_kernel_observed(name, source, memory_words, max_steps, &mut |_| {})
+    let mut trace = Trace::new(name);
+    run_kernel_observed(
+        name,
+        source,
+        memory_words,
+        max_steps,
+        &mut trace,
+        &mut |_| {},
+    );
+    trace
 }
 
-/// Like [`run_kernel`], additionally streaming every conditional branch
-/// (with its observed operand values) to `observe` — the dynamic ground
-/// truth the `cfa/absint` soundness audit compares against.
+/// Builds and runs a kernel, pushing its branch records into `sink` and
+/// streaming every conditional branch (with its observed operand
+/// values) to `observe` — the dynamic ground truth the `cfa/absint`
+/// soundness audit compares against.
 fn run_kernel_observed(
     name: &str,
     source: &str,
     memory_words: usize,
     max_steps: u64,
+    sink: &mut dyn RecordSink,
     observe: &mut dyn FnMut(&BranchObservation),
-) -> Trace {
+) {
     let program =
         assemble(source).unwrap_or_else(|e| panic!("kernel `{name}` failed to assemble: {e}"));
     let mut machine = Machine::with_memory(program, memory_words);
-    let mut trace = Trace::new(name);
     machine
-        .run_observed(max_steps, &mut trace, observe)
+        .run_observed(max_steps, sink, observe)
         .unwrap_or_else(|e| panic!("kernel `{name}` failed to run: {e}"));
-    trace
 }
 
 /// Assembly text of the [`bubble_sort`] kernel.
@@ -94,14 +103,26 @@ pub fn bubble_sort(n: usize) -> Trace {
     run_kernel("sim-bubble-sort", &source, n + 64, 200_000_000)
 }
 
-/// [`bubble_sort`], streaming per-branch operand observations.
+/// [`bubble_sort`], pushing its branch records into `sink` and streaming
+/// per-branch operand observations to `observe`.
 ///
 /// # Panics
 ///
 /// See [`bubble_sort`].
-pub fn bubble_sort_observed(n: usize, observe: &mut dyn FnMut(&BranchObservation)) -> Trace {
+pub fn bubble_sort_observed(
+    n: usize,
+    sink: &mut dyn RecordSink,
+    observe: &mut dyn FnMut(&BranchObservation),
+) {
     let source = bubble_sort_source(n);
-    run_kernel_observed("sim-bubble-sort", &source, n + 64, 200_000_000, observe)
+    run_kernel_observed(
+        "sim-bubble-sort",
+        &source,
+        n + 64,
+        200_000_000,
+        sink,
+        observe,
+    );
 }
 
 /// Assembly text of the [`binary_search`] kernel.
@@ -185,7 +206,8 @@ pub fn binary_search(n: usize, queries: usize) -> Trace {
     run_kernel("sim-binary-search", &source, n + 64, 500_000_000)
 }
 
-/// [`binary_search`], streaming per-branch operand observations.
+/// [`binary_search`], pushing its branch records into `sink` and streaming
+/// per-branch operand observations to `observe`.
 ///
 /// # Panics
 ///
@@ -193,10 +215,18 @@ pub fn binary_search(n: usize, queries: usize) -> Trace {
 pub fn binary_search_observed(
     n: usize,
     queries: usize,
+    sink: &mut dyn RecordSink,
     observe: &mut dyn FnMut(&BranchObservation),
-) -> Trace {
+) {
     let source = binary_search_source(n, queries);
-    run_kernel_observed("sim-binary-search", &source, n + 64, 500_000_000, observe)
+    run_kernel_observed(
+        "sim-binary-search",
+        &source,
+        n + 64,
+        500_000_000,
+        sink,
+        observe,
+    );
 }
 
 /// Assembly text of the [`sieve`] kernel.
@@ -260,14 +290,19 @@ pub fn sieve(n: usize) -> Trace {
     run_kernel("sim-sieve", &source, n + 64, 500_000_000)
 }
 
-/// [`sieve`], streaming per-branch operand observations.
+/// [`sieve`], pushing its branch records into `sink` and streaming
+/// per-branch operand observations to `observe`.
 ///
 /// # Panics
 ///
 /// See [`sieve`].
-pub fn sieve_observed(n: usize, observe: &mut dyn FnMut(&BranchObservation)) -> Trace {
+pub fn sieve_observed(
+    n: usize,
+    sink: &mut dyn RecordSink,
+    observe: &mut dyn FnMut(&BranchObservation),
+) {
     let source = sieve_source(n);
-    run_kernel_observed("sim-sieve", &source, n + 64, 500_000_000, observe)
+    run_kernel_observed("sim-sieve", &source, n + 64, 500_000_000, sink, observe);
 }
 
 /// Assembly text of the [`string_search`] kernel.
@@ -438,14 +473,26 @@ pub fn quicksort(n: usize) -> Trace {
     run_kernel("sim-quicksort", &source, 2 * n + 64, 600_000_000)
 }
 
-/// [`quicksort`], streaming per-branch operand observations.
+/// [`quicksort`], pushing its branch records into `sink` and streaming
+/// per-branch operand observations to `observe`.
 ///
 /// # Panics
 ///
 /// See [`quicksort`].
-pub fn quicksort_observed(n: usize, observe: &mut dyn FnMut(&BranchObservation)) -> Trace {
+pub fn quicksort_observed(
+    n: usize,
+    sink: &mut dyn RecordSink,
+    observe: &mut dyn FnMut(&BranchObservation),
+) {
     let source = quicksort_source(n);
-    run_kernel_observed("sim-quicksort", &source, 2 * n + 64, 600_000_000, observe)
+    run_kernel_observed(
+        "sim-quicksort",
+        &source,
+        2 * n + 64,
+        600_000_000,
+        sink,
+        observe,
+    );
 }
 
 /// Assembly text of the [`matmul`] kernel.
@@ -519,14 +566,26 @@ pub fn matmul(n: usize) -> Trace {
     run_kernel("sim-matmul", &source, 3 * n * n + 64, 600_000_000)
 }
 
-/// [`matmul`], streaming per-branch operand observations.
+/// [`matmul`], pushing its branch records into `sink` and streaming
+/// per-branch operand observations to `observe`.
 ///
 /// # Panics
 ///
 /// See [`matmul`].
-pub fn matmul_observed(n: usize, observe: &mut dyn FnMut(&BranchObservation)) -> Trace {
+pub fn matmul_observed(
+    n: usize,
+    sink: &mut dyn RecordSink,
+    observe: &mut dyn FnMut(&BranchObservation),
+) {
     let source = matmul_source(n);
-    run_kernel_observed("sim-matmul", &source, 3 * n * n + 64, 600_000_000, observe)
+    run_kernel_observed(
+        "sim-matmul",
+        &source,
+        3 * n * n + 64,
+        600_000_000,
+        sink,
+        observe,
+    );
 }
 
 #[cfg(test)]

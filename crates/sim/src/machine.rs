@@ -1,9 +1,9 @@
-//! The execution engine: runs a [`Program`] and records every executed
-//! branch as a [`BranchRecord`].
+//! The execution engine: runs a [`Program`] and pushes every executed
+//! branch, as a [`BranchRecord`], into a [`RecordSink`].
 
 use std::fmt;
 
-use bpred_trace::{BranchKind, BranchRecord, Trace};
+use bpred_trace::{BranchKind, BranchRecord, RecordSink, Trace};
 
 use crate::isa::{AluOp, Instruction, Program, Reg, INSTRUCTION_BYTES};
 
@@ -158,21 +158,22 @@ impl Machine {
         self.steps
     }
 
-    /// Runs until `halt`, appending branch events to `trace`.
+    /// Runs until `halt`, pushing branch events into `sink` (a [`Trace`]
+    /// to keep them).
     ///
     /// # Errors
     ///
     /// Returns a [`RunError`] on step-limit exhaustion, wild control
     /// transfer, bad memory access, or division by zero.
-    pub fn run_into(&mut self, max_steps: u64, trace: &mut Trace) -> Result<(), RunError> {
-        self.run_observed(max_steps, trace, &mut |_| {})
+    pub fn run_into(&mut self, max_steps: u64, sink: &mut dyn RecordSink) -> Result<(), RunError> {
+        self.run_observed(max_steps, sink, &mut |_| {})
     }
 
     /// Runs until `halt` like [`run_into`](Self::run_into), additionally
     /// streaming every recorded conditional branch — with the operand
     /// values the interpreter compared — to `observe`. The observations
     /// correspond one-to-one, in order, with the conditional records
-    /// appended to `trace`.
+    /// pushed into `sink`.
     ///
     /// # Errors
     ///
@@ -180,7 +181,7 @@ impl Machine {
     pub fn run_observed(
         &mut self,
         max_steps: u64,
-        trace: &mut Trace,
+        sink: &mut dyn RecordSink,
         observe: &mut dyn FnMut(&BranchObservation),
     ) -> Result<(), RunError> {
         let limit = self.steps.saturating_add(max_steps);
@@ -265,7 +266,7 @@ impl Machine {
                         rt: b,
                         taken,
                     });
-                    trace.push(BranchRecord::conditional(pc, Program::pc_of(target), taken));
+                    sink.push(BranchRecord::conditional(pc, Program::pc_of(target), taken));
                     if taken {
                         next = target;
                     }
@@ -276,7 +277,7 @@ impl Machine {
                     } else {
                         BranchKind::Unconditional
                     };
-                    trace.push(BranchRecord {
+                    sink.push(BranchRecord {
                         pc,
                         target: Program::pc_of(target),
                         taken: true,
@@ -292,7 +293,7 @@ impl Machine {
                     } else {
                         BranchKind::Indirect
                     };
-                    trace.push(BranchRecord {
+                    sink.push(BranchRecord {
                         pc,
                         target: target_pc,
                         taken: true,

@@ -8,6 +8,9 @@
 //! * [`Trace`] — an in-memory trace with its provenance;
 //! * [`TraceStats`] — the static/dynamic counts and bias distribution
 //!   reported in the paper's Table 2 and Section 4 analysis;
+//! * [`RecordSink`] — where a trace generator pushes its records: a
+//!   [`Trace`], a [`PackedTraceBuilder`], a streaming [`BinaryWriter`],
+//!   or a pair of them;
 //! * [`codec`] — a compact binary format and a line-oriented text format
 //!   for persisting traces.
 //!
@@ -30,14 +33,17 @@ pub mod codec;
 pub mod digest;
 pub mod packed;
 pub mod record;
+pub mod sink;
 pub mod stats;
 pub mod trace;
 
 pub use codec::{
-    read_binary, read_text, stream_binary, write_binary, write_text, BinaryStream, CodecError,
+    read_binary, read_text, stream_binary, write_binary, write_text, BinaryStream, BinaryWriter,
+    CodecError,
 };
 pub use digest::TraceDigest;
 pub use packed::{PackError, PackedRecord, PackedTrace, PackedTraceBuilder, SEAL_RECORDS};
 pub use record::{BranchKind, BranchRecord};
+pub use sink::RecordSink;
 pub use stats::{site_table, BiasBucket, SiteSummary, TraceStats};
 pub use trace::Trace;

@@ -33,11 +33,15 @@
 //! [`PackedTraceBuilder`]: records are appended in arrival order, the
 //! per-record columns seal in fixed-size blocks of [`SEAL_RECORDS`]
 //! (a sealed block's bytes never change again), and a running
-//! [`TraceDigest`] identifies the stream so far. [`PackedTrace::build`]
-//! is the same builder fed a whole [`Trace`].
+//! [`TraceDigest`] identifies the stream so far. The builder is a
+//! [`RecordSink`], so a workload generator can push straight into it
+//! (with a cache file's [`BinaryWriter`](crate::BinaryWriter) beside
+//! it); a cache hit streams the file's records into it; and
+//! [`PackedTrace::build`] is the same builder fed a whole [`Trace`].
 
 use crate::digest::TraceDigest;
 use crate::record::{BranchKind, BranchRecord};
+use crate::sink::RecordSink;
 use crate::stats::{SiteSummary, TraceStats};
 use crate::trace::Trace;
 
@@ -444,6 +448,21 @@ impl PackedTraceBuilder {
             stats,
             digest: self.digest.finish(),
         }
+    }
+}
+
+/// Packs each record as it arrives, for generators.
+///
+/// # Panics
+///
+/// Panics with [`PackError::TooManySites`] where [`append`] would
+/// return it; feed untrusted streams through [`append`] instead.
+///
+/// [`append`]: PackedTraceBuilder::append
+impl RecordSink for PackedTraceBuilder {
+    fn push(&mut self, record: BranchRecord) {
+        self.append(&record)
+            .expect("generated traces have fewer than 2^32 conditional sites"); // panic-audited: the registered workloads have far fewer than 2^32 branch sites
     }
 }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::kernels::textgen;
 use crate::registry::Scale;
@@ -106,15 +106,15 @@ fn decompress(t: &mut Tracer, codes: &[u32]) -> Vec<u8> {
     out
 }
 
-/// Runs the workload at the given scale.
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
 ///
 /// # Panics
 ///
 /// Panics if compression round-trip verification fails (an internal
 /// correctness bug, not an input condition).
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("compress");
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0xC0_4959);
     // Several independent buffers, like compress running over a file set.
     let buffers = 2 * scale.factor();
@@ -139,16 +139,18 @@ pub fn trace(scale: Scale) -> Trace {
         let roundtrip = decompress(&mut t, &codes);
         assert_eq!(roundtrip, input, "LZW round-trip mismatch");
     }
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     #[test]
     fn roundtrip_small_inputs() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         for input in [&b"abababababab"[..], b"x", b"", b"to be or not to be to be"] {
             let mut codes = Vec::new();
             compress(&mut t, input, &mut codes);
@@ -160,7 +162,8 @@ mod tests {
     fn kwkwk_case_roundtrips() {
         // "aaaa..." triggers the code-not-yet-defined path.
         let input = vec![b'a'; 50];
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut codes = Vec::new();
         compress(&mut t, &input, &mut codes);
         assert_eq!(decompress(&mut t, &codes), input);
@@ -171,7 +174,8 @@ mod tests {
         // Enough distinct digrams to overflow 4096 codes.
         let mut rng = Rng::new(5);
         let input: Vec<u8> = (0..60_000).map(|_| rng.below(251) as u8).collect();
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut codes = Vec::new();
         compress(&mut t, &input, &mut codes);
         assert_eq!(decompress(&mut t, &codes), input);
@@ -179,8 +183,8 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic_and_biased() {
-        let a = trace(Scale::Smoke);
-        let b = trace(Scale::Smoke);
+        let a = traced(trace, Scale::Smoke);
+        let b = traced(trace, Scale::Smoke);
         assert_eq!(a, b);
         let stats = a.stats();
         // Few static branches, like the original's 482.

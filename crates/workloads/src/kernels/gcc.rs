@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::registry::Scale;
 use crate::rng::Rng;
@@ -161,13 +161,13 @@ pub(crate) enum Stmt {
     Print(Expr),
 }
 
-struct Parser<'t> {
-    t: &'t mut Tracer,
+struct Parser<'t, 's> {
+    t: &'t mut Tracer<'s>,
     tokens: Vec<Token>,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl Parser<'_, '_> {
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -845,38 +845,38 @@ pub(crate) fn compile_and_run(t: &mut Tracer, src: &str, unit: u32) -> Vec<i64> 
     execute(t, &code, unit, 12_000)
 }
 
-fn run_workload(name: &str, seed: u64, programs: u64, stmts: usize) -> Trace {
-    let mut t = Tracer::new(name);
+fn run_workload(sink: &mut dyn RecordSink, seed: u64, programs: u64, stmts: usize) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(seed);
     for unit in 0..programs {
         let src = generate_source(&mut rng, stmts, 3);
         // 48 distinct expanded-code identities, reused cyclically.
         let _ = compile_and_run(&mut t, &src, (unit % 48) as u32);
     }
-    t.into_trace()
 }
 
-/// Runs the `gcc` workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    run_workload("gcc", 0x6CC, 4 * scale.factor(), 60)
+/// Runs the `gcc` workload at the given scale into `sink`.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    run_workload(sink, 0x6CC, 4 * scale.factor(), 60);
 }
 
 /// Runs the `real_gcc` workload (the IBS trace of gcc itself): the same
 /// compiler over a larger, more statement-heavy input mix, traced with
 /// kernel-ish interleaving absent (IBS real_gcc is user+kernel; the mix
 /// difference is modelled by input size and seed).
-#[must_use]
-pub fn trace_real_gcc(scale: Scale) -> Trace {
-    run_workload("real_gcc", 0x04EA_16CC, 2 * scale.factor(), 110)
+pub fn trace_real_gcc(scale: Scale, sink: &mut dyn RecordSink) {
+    run_workload(sink, 0x04EA_16CC, 2 * scale.factor(), 110);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     fn run_src(src: &str) -> Vec<i64> {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         compile_and_run(&mut t, src, 0)
     }
 
@@ -977,7 +977,7 @@ mod tests {
 
     #[test]
     fn workload_has_gcc_like_static_spread() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         let stats = trace.stats();
         assert!(
             stats.static_conditional > 80,
@@ -989,14 +989,14 @@ mod tests {
 
     #[test]
     fn real_gcc_is_bigger_than_gcc_per_program() {
-        let a = trace(Scale::Smoke).stats();
-        let b = trace_real_gcc(Scale::Smoke).stats();
+        let a = traced(trace, Scale::Smoke).stats();
+        let b = traced(trace_real_gcc, Scale::Smoke).stats();
         assert!(b.static_conditional >= a.static_conditional / 2);
         assert_ne!(a, b);
     }
 
     #[test]
     fn workloads_are_deterministic() {
-        assert_eq!(trace(Scale::Smoke), trace(Scale::Smoke));
+        assert_eq!(traced(trace, Scale::Smoke), traced(trace, Scale::Smoke));
     }
 }

@@ -9,7 +9,7 @@
 //! dominates and no de-aliasing scheme can fix it — only longer history
 //! helps, which is exactly the paper's conclusion.
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::registry::Scale;
 use crate::rng::Rng;
@@ -215,10 +215,10 @@ fn run_playout(t: &mut Tracer, rng: &mut Rng, max_moves: usize) -> i32 {
     board.score_black(t)
 }
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("go");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0x60_60);
     let games = 10 * scale.factor();
     let mut total = 0i64;
@@ -227,16 +227,18 @@ pub fn trace(scale: Scale) -> Trace {
     }
     // Keep the aggregate alive so the computation cannot be elided.
     std::hint::black_box(total);
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     #[test]
     fn single_stone_capture() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut b = Board::new();
         // Surround the white stone at (1,1) with black.
         assert!(b.play(&mut t, SIZE + 1, Point::White));
@@ -252,7 +254,8 @@ mod tests {
 
     #[test]
     fn suicide_is_rejected() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut b = Board::new();
         // Black surrounds (0,0)'s liberties: (0,1) and (1,0).
         assert!(b.play(&mut t, 1, Point::Black));
@@ -264,7 +267,8 @@ mod tests {
 
     #[test]
     fn capture_beats_suicide() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut b = Board::new();
         // White at (0,1); black at (0,2),(1,1) leaves white one liberty
         // at (0,0). Black playing (0,0) would itself have no liberties
@@ -280,7 +284,8 @@ mod tests {
 
     #[test]
     fn occupied_point_is_illegal() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut b = Board::new();
         assert!(b.play(&mut t, 40, Point::Black));
         assert!(!b.play(&mut t, 40, Point::White));
@@ -288,7 +293,8 @@ mod tests {
 
     #[test]
     fn scoring_counts_stones_and_territory() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut b = Board::new();
         b.points[1] = Point::Black;
         b.points[SIZE] = Point::Black;
@@ -298,7 +304,7 @@ mod tests {
 
     #[test]
     fn workload_is_weakly_biased_like_the_original() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         let stats = trace.stats();
         assert!(stats.dynamic_conditional > 20_000);
         // Section 4.4: about half of go's dynamic branches are weakly
@@ -313,6 +319,6 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic() {
-        assert_eq!(trace(Scale::Smoke), trace(Scale::Smoke));
+        assert_eq!(traced(trace, Scale::Smoke), traced(trace, Scale::Smoke));
     }
 }

@@ -6,7 +6,7 @@
 //! justification space-distribution loop, and request dispatch — the
 //! medium-static-count, moderately-biased mix of the IBS text tools.
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::kernels::textgen;
 use crate::registry::Scale;
@@ -185,25 +185,27 @@ fn build_document(rng: &mut Rng, bytes: usize) -> String {
     doc
 }
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("groff");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0x6077);
     for _ in 0..4 * scale.factor() {
         let doc = build_document(&mut rng, 12_000);
         let lines = format(&mut t, &doc);
         std::hint::black_box(lines.len());
     }
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     fn fmt(input: &str) -> Vec<String> {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         format(&mut t, input)
     }
 
@@ -259,7 +261,8 @@ mod tests {
 
     #[test]
     fn hyphenation_splits_long_words() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         // "tenrokamiro" has vowel-consonant boundaries.
         let p = hyphenation_point(&mut t, "tenrokamiro", 8);
         assert!(p.is_some());
@@ -279,9 +282,9 @@ mod tests {
 
     #[test]
     fn workload_shape() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         let stats = trace.stats();
         assert!(stats.dynamic_conditional > 20_000);
-        assert_eq!(trace, super::trace(Scale::Smoke));
+        assert_eq!(trace, traced(super::trace, Scale::Smoke));
     }
 }

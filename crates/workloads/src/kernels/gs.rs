@@ -7,7 +7,7 @@
 //! Bresenham error-accumulator branch is the classic ~slope-biased
 //! branch.
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::registry::Scale;
 use crate::rng::Rng;
@@ -187,10 +187,10 @@ fn random_polygon(rng: &mut Rng, vertices: usize) -> Vec<(i32, i32)> {
         .collect()
 }
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("gs");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0x6057);
     let pages = 2 * scale.factor();
     for _ in 0..pages {
@@ -212,16 +212,18 @@ pub fn trace(scale: Scale) -> Trace {
         }
         std::hint::black_box(canvas.ink());
     }
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     #[test]
     fn horizontal_line_is_contiguous() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut c = Canvas::new();
         draw_line(&mut t, &mut c, 10, 5, 20, 5, 9);
         for x in 10..=20 {
@@ -232,7 +234,8 @@ mod tests {
 
     #[test]
     fn diagonal_line_has_expected_extent() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut c = Canvas::new();
         draw_line(&mut t, &mut c, 0, 0, 10, 10, 7);
         assert_eq!(c.pixels[0], 7);
@@ -242,7 +245,8 @@ mod tests {
 
     #[test]
     fn offscreen_plots_are_clipped() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut c = Canvas::new();
         draw_line(&mut t, &mut c, -5, -5, 3, 3, 7);
         assert!(c.ink() <= 4);
@@ -250,7 +254,8 @@ mod tests {
 
     #[test]
     fn rectangle_fill_covers_interior() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut c = Canvas::new();
         fill_polygon(&mut t, &mut c, &[(10, 10), (30, 10), (30, 20), (10, 20)], 5);
         // Interior point.
@@ -264,7 +269,8 @@ mod tests {
 
     #[test]
     fn triangle_fill_respects_edges() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut c = Canvas::new();
         fill_polygon(&mut t, &mut c, &[(10, 10), (50, 10), (10, 50)], 3);
         assert_eq!(
@@ -281,7 +287,8 @@ mod tests {
 
     #[test]
     fn degenerate_polygon_is_ignored() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut c = Canvas::new();
         fill_polygon(&mut t, &mut c, &[(1, 1), (2, 2)], 9);
         assert_eq!(c.ink(), 0);
@@ -289,7 +296,8 @@ mod tests {
 
     #[test]
     fn trivial_rejection_matches_geometry() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         assert!(trivially_rejected(&mut t, -10, 5, -2, 8), "fully left");
         assert!(
             !trivially_rejected(&mut t, -10, 5, 10, 8),
@@ -300,8 +308,8 @@ mod tests {
 
     #[test]
     fn workload_shape() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         assert!(trace.stats().dynamic_conditional > 30_000);
-        assert_eq!(trace, super::trace(Scale::Smoke));
+        assert_eq!(trace, traced(super::trace, Scale::Smoke));
     }
 }

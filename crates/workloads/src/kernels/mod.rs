@@ -15,3 +15,15 @@ pub mod textgen;
 pub mod verilog;
 pub mod vortex;
 pub mod xlisp;
+
+/// Runs one kernel's generator into a fresh trace, for the kernels' own
+/// tests.
+#[cfg(test)]
+pub(crate) fn traced(
+    generate: fn(crate::Scale, &mut dyn bpred_trace::RecordSink),
+    scale: crate::Scale,
+) -> bpred_trace::Trace {
+    let mut trace = bpred_trace::Trace::default();
+    generate(scale, &mut trace);
+    trace
+}

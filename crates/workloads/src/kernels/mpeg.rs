@@ -10,7 +10,7 @@
 //! skewed. `video_play` is a distinct mix (more skipped/inter blocks,
 //! different GOP pattern), as in IBS.
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::registry::Scale;
 use crate::rng::Rng;
@@ -203,7 +203,7 @@ fn random_block(rng: &mut Rng, density: f64) -> RleBlock {
 
 #[derive(Debug, Clone, Copy)]
 struct StreamConfig {
-    name: &'static str,
+    /// Seed of the stream's content: block types and coefficients.
     seed: u64,
     /// Fraction of blocks that are skipped entirely (inter prediction
     /// with zero residual).
@@ -215,8 +215,8 @@ struct StreamConfig {
     frames_per_unit: u64,
 }
 
-fn decode_stream(config: StreamConfig, scale: Scale) -> Trace {
-    let mut t = Tracer::new(config.name);
+fn decode_stream(config: StreamConfig, scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(config.seed);
     let zigzag = zigzag_order();
     let (w, h) = (128usize, 96usize);
@@ -275,15 +275,12 @@ fn decode_stream(config: StreamConfig, scale: Scale) -> Trace {
         }
         reference = current;
     }
-    t.into_trace()
 }
 
-/// Runs the `mpeg_play` workload.
-#[must_use]
-pub fn trace_mpeg_play(scale: Scale) -> Trace {
+/// Runs the `mpeg_play` workload into `sink`.
+pub fn trace_mpeg_play(scale: Scale, sink: &mut dyn RecordSink) {
     decode_stream(
         StreamConfig {
-            name: "mpeg_play",
             seed: 0x4956_3141,
             skip_rate: 0.25,
             inter_rate: 0.6,
@@ -291,16 +288,15 @@ pub fn trace_mpeg_play(scale: Scale) -> Trace {
             frames_per_unit: 2,
         },
         scale,
-    )
+        sink,
+    );
 }
 
 /// Runs the `video_play` workload: a lighter-weight player with more
 /// skipped macroblocks and sparser residuals.
-#[must_use]
-pub fn trace_video_play(scale: Scale) -> Trace {
+pub fn trace_video_play(scale: Scale, sink: &mut dyn RecordSink) {
     decode_stream(
         StreamConfig {
-            name: "video_play",
             seed: 0x7677_2024,
             skip_rate: 0.45,
             inter_rate: 0.8,
@@ -308,12 +304,15 @@ pub fn trace_video_play(scale: Scale) -> Trace {
             frames_per_unit: 3,
         },
         scale,
-    )
+        sink,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     #[test]
     fn zigzag_is_a_permutation_starting_at_dc() {
@@ -328,7 +327,8 @@ mod tests {
 
     #[test]
     fn rle_roundtrip_places_levels() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let z = zigzag_order();
         let block = RleBlock {
             pairs: vec![(0, 100), (1, -7)],
@@ -341,7 +341,8 @@ mod tests {
 
     #[test]
     fn corrupted_rle_is_truncated_safely() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let z = zigzag_order();
         let block = RleBlock {
             pairs: vec![(5, 1); 30],
@@ -351,7 +352,8 @@ mod tests {
 
     #[test]
     fn dc_only_block_decodes_flat() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut coeffs = [0i32; COEFFS];
         coeffs[0] = 800;
         let out = idct_2d(&mut t, &coeffs);
@@ -365,7 +367,8 @@ mod tests {
 
     #[test]
     fn idct_responds_to_ac_energy() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut coeffs = [0i32; COEFFS];
         coeffs[0] = 800;
         coeffs[1] = 400; // horizontal frequency
@@ -377,7 +380,8 @@ mod tests {
 
     #[test]
     fn frame_fetch_clamps_at_edges() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut f = Frame::new(8, 8);
         f.pixels[0] = 7;
         f.pixels[63] = 9;
@@ -388,7 +392,8 @@ mod tests {
 
     #[test]
     fn saturation_clamps_both_ends() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         assert_eq!(saturate(&mut t, -5), 0);
         assert_eq!(saturate(&mut t, 300), 255);
         assert_eq!(saturate(&mut t, 128), 128);
@@ -396,9 +401,9 @@ mod tests {
 
     #[test]
     fn players_are_deterministic_and_distinct() {
-        let a = trace_mpeg_play(Scale::Smoke);
-        assert_eq!(a, trace_mpeg_play(Scale::Smoke));
-        let b = trace_video_play(Scale::Smoke);
+        let a = traced(trace_mpeg_play, Scale::Smoke);
+        assert_eq!(a, traced(trace_mpeg_play, Scale::Smoke));
+        let b = traced(trace_video_play, Scale::Smoke);
         assert_ne!(a, b);
         assert!(a.stats().dynamic_conditional > 30_000);
         assert!(b.stats().dynamic_conditional > 30_000);
@@ -408,7 +413,7 @@ mod tests {
     fn decoders_are_predictable_workloads() {
         // Figure 4: mpeg_play is among the easiest IBS benchmarks; most
         // of its branches are strongly biased.
-        let stats = trace_mpeg_play(Scale::Smoke).stats();
+        let stats = traced(trace_mpeg_play, Scale::Smoke).stats();
         assert!(
             stats.strongly_biased_fraction() > 0.5,
             "got {:.2}",

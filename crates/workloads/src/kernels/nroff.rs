@@ -6,7 +6,7 @@
 //! IBS benchmarks are different programs with overlapping jobs, and the
 //! paper's per-benchmark curves (Figure 4) treat them independently.
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::kernels::textgen;
 use crate::registry::Scale;
@@ -206,25 +206,27 @@ fn build_document(rng: &mut Rng, bytes: usize) -> String {
     doc
 }
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("nroff");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0x4206F);
     for _ in 0..3 * scale.factor() {
         let doc = build_document(&mut rng, 9_000);
         let lines = format(&mut t, &doc, 72);
         std::hint::black_box(lines.len());
     }
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     fn fmt(input: &str) -> Vec<String> {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         format(&mut t, input, 30)
     }
 
@@ -251,7 +253,8 @@ mod tests {
 
     #[test]
     fn page_break_fills_page() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let lines = format(&mut t, "a\n.bp\nb", 30);
         // After .bp, "b" must start on page 2.
         let page2 = lines
@@ -264,7 +267,8 @@ mod tests {
 
     #[test]
     fn tab_expansion_aligns_to_eights() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         assert_eq!(expand_tabs(&mut t, "a\tb"), "a       b");
         assert_eq!(expand_tabs(&mut t, "\tx"), "        x");
         assert_eq!(expand_tabs(&mut t, "12345678\ty"), "12345678        y");
@@ -280,8 +284,8 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic_and_nontrivial() {
-        let a = trace(Scale::Smoke);
-        assert_eq!(a, trace(Scale::Smoke));
+        let a = traced(trace, Scale::Smoke);
+        assert_eq!(a, traced(trace, Scale::Smoke));
         assert!(a.stats().dynamic_conditional > 20_000);
     }
 }

@@ -11,7 +11,7 @@
 // top-list insertion, so it must be deterministic across runs.
 use std::collections::BTreeMap;
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::kernels::textgen;
 use crate::registry::Scale;
@@ -214,10 +214,10 @@ fn word_frequencies(t: &mut Tracer, text: &str) -> Vec<(String, u32)> {
     top
 }
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("perl");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0x9E71);
     let patterns = [
         "ka[rv]o*",
@@ -242,15 +242,17 @@ pub fn trace(scale: Scale) -> Trace {
         let top = word_frequencies(&mut t, &text);
         std::hint::black_box((matches, top));
     }
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     fn matches(pattern: &str, text: &str) -> bool {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let atoms = compile(&mut t, pattern);
         search(&mut t, &atoms, text.as_bytes())
     }
@@ -289,7 +291,8 @@ mod tests {
 
     #[test]
     fn anchored_full_match_helper() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let atoms = compile(&mut t, "abc");
         assert!(match_here(&mut t, &atoms, b"abc"));
         assert!(
@@ -300,7 +303,8 @@ mod tests {
 
     #[test]
     fn word_frequency_ranking() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let top = word_frequencies(&mut t, "b a a c a b, a; c");
         assert_eq!(top[0], ("a".to_owned(), 4));
         assert_eq!(top[1], ("b".to_owned(), 2));
@@ -308,10 +312,10 @@ mod tests {
 
     #[test]
     fn workload_shape() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         let stats = trace.stats();
         assert!(stats.dynamic_conditional > 50_000);
         assert!(stats.static_conditional < 120);
-        assert_eq!(trace, super::trace(Scale::Smoke));
+        assert_eq!(trace, traced(super::trace, Scale::Smoke));
     }
 }

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::registry::Scale;
 use crate::rng::Rng;
@@ -221,10 +221,10 @@ impl Fs {
 
 const SYSCALLS: u32 = 12;
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("sdet");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0x5DE7);
     let dispatch = site!();
 
@@ -355,16 +355,18 @@ pub fn trace(scale: Scale) -> Trace {
             }
         }
     }
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     #[test]
     fn heap_orders_by_priority_then_pid() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut q = RunQueue::default();
         q.push(
             &mut t,
@@ -411,7 +413,8 @@ mod tests {
 
     #[test]
     fn fs_create_write_stat_roundtrip() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut fs = Fs::new();
         fs.create(&mut t, "/a", true, 7).unwrap();
         fs.create(&mut t, "/a/f", false, 6).unwrap();
@@ -423,7 +426,8 @@ mod tests {
 
     #[test]
     fn fs_error_paths() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut fs = Fs::new();
         fs.create(&mut t, "/a", true, 7).unwrap();
         fs.create(&mut t, "/a/ro", false, 4).unwrap(); // read-only
@@ -439,7 +443,8 @@ mod tests {
 
     #[test]
     fn unlink_removes_files_but_not_nonempty_dirs() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut fs = Fs::new();
         fs.create(&mut t, "/d", true, 7).unwrap();
         fs.create(&mut t, "/d/f", false, 6).unwrap();
@@ -452,7 +457,7 @@ mod tests {
 
     #[test]
     fn workload_shape() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         let stats = trace.stats();
         assert!(stats.dynamic_conditional > 50_000);
         // Dispatch fan-out gives sdet a wide-ish static footprint.
@@ -461,6 +466,6 @@ mod tests {
             "{}",
             stats.static_conditional
         );
-        assert_eq!(trace, super::trace(Scale::Smoke));
+        assert_eq!(trace, traced(super::trace, Scale::Smoke));
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::registry::Scale;
 use crate::rng::Rng;
@@ -187,10 +187,10 @@ impl<'c> Simulator<'c> {
     }
 }
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("verilog");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0x7E12_1060);
     let circuit = Circuit::random(&mut rng, 48, 700);
     let mut sim = Simulator::new(&circuit);
@@ -213,12 +213,13 @@ pub fn trace(scale: Scale) -> Trace {
         sim.apply(&mut t, &v);
     }
     std::hint::black_box(sim.evaluations);
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     fn tiny_circuit() -> Circuit {
         // nets: 0,1 primary; gate0: AND(0,1)->2; gate1: NOT(2)->3
@@ -247,7 +248,8 @@ mod tests {
 
     #[test]
     fn gate_truth_tables() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         use GateKind::*;
         assert!(Simulator::eval_gate(&mut t, And, &[true, true]));
         assert!(!Simulator::eval_gate(&mut t, And, &[true, false]));
@@ -264,7 +266,8 @@ mod tests {
     #[test]
     fn propagation_reaches_quiescence_with_correct_values() {
         let c = tiny_circuit();
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut sim = Simulator::new(&c);
         // Initially all false; NOT(AND(0,0)) should settle to true after
         // the first event wave.
@@ -279,7 +282,8 @@ mod tests {
     #[test]
     fn unchanged_inputs_create_no_events() {
         let c = tiny_circuit();
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut sim = Simulator::new(&c);
         sim.apply(&mut t, &[true, true]);
         let evals = sim.evaluations;
@@ -300,9 +304,9 @@ mod tests {
 
     #[test]
     fn workload_shape() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         let stats = trace.stats();
         assert!(stats.dynamic_conditional > 50_000);
-        assert_eq!(trace, super::trace(Scale::Smoke));
+        assert_eq!(trace, traced(super::trace, Scale::Smoke));
     }
 }

@@ -8,7 +8,7 @@
 //! The kernel reproduces that with a Zipf-skewed, hit-heavy operation
 //! mix.
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::registry::Scale;
 use crate::rng::Rng;
@@ -200,10 +200,10 @@ impl Database {
     }
 }
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("vortex");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let mut rng = Rng::new(0x0043_EE75);
     // Sized so the live-set stays below a 50% load factor even at
     // Scale::Full's insert volume.
@@ -288,12 +288,13 @@ pub fn trace(scale: Scale) -> Trace {
             db.range_scan(&mut t, from, 24);
         }
     }
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     fn obj(id: u64) -> Object {
         Object {
@@ -306,7 +307,8 @@ mod tests {
 
     #[test]
     fn insert_lookup_roundtrip() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut db = Database::new(8);
         assert!(db.insert(&mut t, obj(42)));
         assert_eq!(db.lookup(&mut t, 42).map(|o| o.id), Some(42));
@@ -315,7 +317,8 @@ mod tests {
 
     #[test]
     fn duplicate_insert_is_rejected() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut db = Database::new(8);
         assert!(db.insert(&mut t, obj(1)));
         assert!(!db.insert(&mut t, obj(1)));
@@ -324,7 +327,8 @@ mod tests {
 
     #[test]
     fn delete_leaves_probing_intact() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut db = Database::new(4);
         // Force a probe chain by inserting many ids into 16 slots.
         for id in 1..=7 {
@@ -340,7 +344,8 @@ mod tests {
 
     #[test]
     fn update_changes_fields_and_validates() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut db = Database::new(8);
         db.insert(&mut t, obj(5));
         assert!(db.update(&mut t, 5, 2, 999));
@@ -351,7 +356,8 @@ mod tests {
 
     #[test]
     fn secondary_index_stays_sorted() {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         let mut db = Database::new(8);
         for id in [5u64, 1, 9, 3, 7] {
             db.insert(&mut t, obj(id));
@@ -364,7 +370,7 @@ mod tests {
 
     #[test]
     fn workload_is_strongly_biased_like_vortex() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         let stats = trace.stats();
         assert!(stats.dynamic_conditional > 30_000);
         assert!(
@@ -372,6 +378,6 @@ mod tests {
             "vortex should be dominated by biased branches, got {:.2}",
             stats.strongly_biased_fraction()
         );
-        assert_eq!(trace, super::trace(Scale::Smoke));
+        assert_eq!(trace, traced(super::trace, Scale::Smoke));
     }
 }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use bpred_trace::Trace;
+use bpred_trace::RecordSink;
 
 use crate::registry::Scale;
 use crate::site;
@@ -92,13 +92,13 @@ struct Defun {
     body: Expr,
 }
 
-struct Interp<'t> {
-    t: &'t mut Tracer,
+struct Interp<'t, 's> {
+    t: &'t mut Tracer<'s>,
     functions: HashMap<Rc<str>, Rc<Defun>>,
     steps: u64,
 }
 
-impl Interp<'_> {
+impl Interp<'_, '_> {
     /// Association-list variable lookup — the classic Lisp inner loop.
     fn lookup(&mut self, env: &[(Rc<str>, Value)], name: &str) -> Value {
         let mut i = env.len();
@@ -287,10 +287,10 @@ fn run_program(t: &mut Tracer, source: &str) -> Vec<Value> {
     results
 }
 
-/// Runs the workload at the given scale.
-#[must_use]
-pub fn trace(scale: Scale) -> Trace {
-    let mut t = Tracer::new("xlisp");
+/// Runs the workload at the given scale, pushing each branch record
+/// into `sink` as it happens.
+pub fn trace(scale: Scale, sink: &mut dyn RecordSink) {
+    let mut t = Tracer::new(sink);
     let reps = scale.factor();
     for rep in 0..reps {
         // Vary arguments across reps so the recursion depths differ.
@@ -309,15 +309,17 @@ pub fn trace(scale: Scale) -> Trace {
         );
         run_program(&mut t, &driver);
     }
-    t.into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::traced;
+    use bpred_trace::Trace;
 
     fn eval_one(src: &str) -> Value {
-        let mut t = Tracer::new("t");
+        let mut sink = Trace::default();
+        let mut t = Tracer::new(&mut sink);
         run_program(&mut t, src).pop().expect("one result")
     }
 
@@ -377,7 +379,7 @@ mod tests {
 
     #[test]
     fn workload_shape_matches_the_original() {
-        let trace = trace(Scale::Smoke);
+        let trace = traced(trace, Scale::Smoke);
         let stats = trace.stats();
         assert!(
             stats.static_conditional < 80,
@@ -385,6 +387,6 @@ mod tests {
             stats.static_conditional
         );
         assert!(stats.dynamic_conditional > 20_000);
-        assert_eq!(trace, super::trace(Scale::Smoke), "determinism");
+        assert_eq!(trace, traced(super::trace, Scale::Smoke), "determinism");
     }
 }

@@ -17,11 +17,24 @@
 //! tables — that is how the gcc-like workloads reach thousands of static
 //! branch sites, matching the paper's Table 2 spread.
 //!
+//! A generator keeps no trace of its own: it pushes each record into
+//! the [`RecordSink`](bpred_trace::RecordSink) it is given, as the
+//! record happens. [`Workload::generate`] runs it into any sink — the
+//! harness passes a packed-trace builder and a cache-file writer, so a
+//! paper-scale trace never exists as 24-byte records in memory — and
+//! [`Workload::trace`] runs it into a `Trace`.
+//!
 //! ```
+//! use bpred_trace::PackedTraceBuilder;
 //! use bpred_workloads::{Scale, Workload};
 //!
-//! let trace = Workload::by_name("compress").unwrap().trace(Scale::Smoke);
+//! let compress = Workload::by_name("compress").unwrap();
+//! let trace = compress.trace(Scale::Smoke);
 //! assert!(trace.stats().dynamic_conditional > 1_000);
+//!
+//! let mut builder = PackedTraceBuilder::new(compress.name());
+//! compress.generate(Scale::Smoke, &mut builder);
+//! assert_eq!(builder.finish().digest(), trace.digest());
 //! ```
 
 #![forbid(unsafe_code)]

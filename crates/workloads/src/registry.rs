@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use bpred_trace::Trace;
+use bpred_trace::{RecordSink, Trace};
 
 use crate::kernels;
 
@@ -86,7 +86,7 @@ pub struct Workload {
     name: &'static str,
     suite: Suite,
     description: &'static str,
-    generator: fn(Scale) -> Trace,
+    generator: fn(Scale, &mut dyn RecordSink),
 }
 
 impl fmt::Debug for Workload {
@@ -117,10 +117,19 @@ impl Workload {
         self.description
     }
 
-    /// Generates the workload's branch trace.
+    /// Runs the workload's generator once at `scale`, pushing every
+    /// branch record into `sink` as it happens.
+    pub fn generate(&self, scale: Scale, sink: &mut dyn RecordSink) {
+        (self.generator)(scale, sink);
+    }
+
+    /// Generates the workload's branch trace: [`generate`](Self::generate)
+    /// into a [`Trace`] named after the workload.
     #[must_use]
     pub fn trace(&self, scale: Scale) -> Trace {
-        (self.generator)(scale)
+        let mut trace = Trace::new(self.name);
+        self.generate(scale, &mut trace);
+        trace
     }
 
     /// All registered workloads, paper order: SPEC then IBS then sim.
@@ -154,16 +163,16 @@ fn sim_bubble_n(scale: Scale) -> usize {
     }
 }
 
-fn sim_bubble(scale: Scale) -> Trace {
-    bpred_sim::kernels::bubble_sort(sim_bubble_n(scale))
+fn sim_bubble(scale: Scale, sink: &mut dyn RecordSink) {
+    bpred_sim::kernels::bubble_sort_observed(sim_bubble_n(scale), sink, &mut |_| {});
 }
 
 fn sim_bsearch_queries(scale: Scale) -> usize {
     600 * scale.factor() as usize
 }
 
-fn sim_bsearch(scale: Scale) -> Trace {
-    bpred_sim::kernels::binary_search(4096, sim_bsearch_queries(scale))
+fn sim_bsearch(scale: Scale, sink: &mut dyn RecordSink) {
+    bpred_sim::kernels::binary_search_observed(4096, sim_bsearch_queries(scale), sink, &mut |_| {});
 }
 
 fn sim_quicksort_n(scale: Scale) -> usize {
@@ -174,8 +183,8 @@ fn sim_quicksort_n(scale: Scale) -> usize {
     }
 }
 
-fn sim_quicksort(scale: Scale) -> Trace {
-    bpred_sim::kernels::quicksort(sim_quicksort_n(scale))
+fn sim_quicksort(scale: Scale, sink: &mut dyn RecordSink) {
+    bpred_sim::kernels::quicksort_observed(sim_quicksort_n(scale), sink, &mut |_| {});
 }
 
 fn sim_matmul_n(scale: Scale) -> usize {
@@ -186,8 +195,8 @@ fn sim_matmul_n(scale: Scale) -> usize {
     }
 }
 
-fn sim_matmul(scale: Scale) -> Trace {
-    bpred_sim::kernels::matmul(sim_matmul_n(scale))
+fn sim_matmul(scale: Scale, sink: &mut dyn RecordSink) {
+    bpred_sim::kernels::matmul_observed(sim_matmul_n(scale), sink, &mut |_| {});
 }
 
 fn sim_sieve_n(scale: Scale) -> usize {
@@ -198,8 +207,8 @@ fn sim_sieve_n(scale: Scale) -> usize {
     }
 }
 
-fn sim_sieve(scale: Scale) -> Trace {
-    bpred_sim::kernels::sieve(sim_sieve_n(scale))
+fn sim_sieve(scale: Scale, sink: &mut dyn RecordSink) {
+    bpred_sim::kernels::sieve_observed(sim_sieve_n(scale), sink, &mut |_| {});
 }
 
 /// Re-executes the sim-kernel workload `name` at `scale` with the same
@@ -216,14 +225,18 @@ pub fn sim_kernel_observed(
     observe: &mut dyn FnMut(&bpred_sim::BranchObservation),
 ) -> Option<Trace> {
     use bpred_sim::kernels as k;
-    let trace = match name {
-        "sim-bubble-sort" => k::bubble_sort_observed(sim_bubble_n(scale), observe),
-        "sim-binary-search" => k::binary_search_observed(4096, sim_bsearch_queries(scale), observe),
-        "sim-sieve" => k::sieve_observed(sim_sieve_n(scale), observe),
-        "sim-quicksort" => k::quicksort_observed(sim_quicksort_n(scale), observe),
-        "sim-matmul" => k::matmul_observed(sim_matmul_n(scale), observe),
+    let mut trace = Trace::new(name);
+    let sink = &mut trace;
+    match name {
+        "sim-bubble-sort" => k::bubble_sort_observed(sim_bubble_n(scale), sink, observe),
+        "sim-binary-search" => {
+            k::binary_search_observed(4096, sim_bsearch_queries(scale), sink, observe);
+        }
+        "sim-sieve" => k::sieve_observed(sim_sieve_n(scale), sink, observe),
+        "sim-quicksort" => k::quicksort_observed(sim_quicksort_n(scale), sink, observe),
+        "sim-matmul" => k::matmul_observed(sim_matmul_n(scale), sink, observe),
         _ => return None,
-    };
+    }
     Some(trace)
 }
 
@@ -408,12 +421,47 @@ mod tests {
         assert!(Workload::by_name("doom").is_none());
     }
 
+    /// `(name, digest, records)` of every registered workload's smoke
+    /// trace. A site's PC hashes the module, file, line and column of
+    /// its `site!()`, so moving one, like any change to what a kernel
+    /// does, changes these.
+    const SMOKE_TRACES: [(&str, u64, usize); 19] = [
+        ("compress", 0xc7e5cec4e9be9125, 65005),
+        ("gcc", 0xc0fd7dc12f55b37e, 308368),
+        ("go", 0x357c5a5094994363, 126461),
+        ("xlisp", 0x9306a95b19246b6b, 23949),
+        ("perl", 0x63cfbc8c1717b0f6, 293586),
+        ("vortex", 0x3760d2fc76de5626, 128963),
+        ("groff", 0x3a96c308e11c0e7a, 22334),
+        ("gs", 0x23bb677ed72bb187, 331442),
+        ("mpeg_play", 0x07c247576b2579cc, 135686),
+        ("nroff", 0xbb80ae464f4fafb6, 35898),
+        ("real_gcc", 0x04cc36f39d77e076, 269039),
+        ("sdet", 0x336b37287d48ad2c, 318327),
+        ("verilog", 0xb8ecb8ed50a02897, 602253),
+        ("video_play", 0xca63b3b99d603671, 193691),
+        ("sim-bubble-sort", 0x5f603b7b4e0a7c4e, 14519),
+        ("sim-binary-search", 0x1b63c1b8bf98a129, 32996),
+        ("sim-sieve", 0x120feed4b6bbeb3a, 29650),
+        ("sim-quicksort", 0x5abdb0248f885d8c, 65135),
+        ("sim-matmul", 0x15b8dba2f9b68e77, 15024),
+    ];
+
+    #[test]
+    fn smoke_traces_match_their_pinned_digests() {
+        let got: Vec<(&str, u64, usize)> = Workload::all()
+            .iter()
+            .map(|w| {
+                let trace = w.trace(Scale::Smoke);
+                (w.name(), trace.digest(), trace.len())
+            })
+            .collect();
+        assert_eq!(got, SMOKE_TRACES);
+    }
+
     #[test]
     fn trace_names_match_registry_names() {
         for w in Workload::all() {
-            if w.suite() == Suite::SimKernels {
-                continue; // sim kernels carry their own sim-* names
-            }
             let trace = w.trace(Scale::Smoke);
             assert_eq!(
                 trace.name(),

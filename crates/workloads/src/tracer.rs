@@ -6,9 +6,12 @@
 //! a stable compile-time hash of the source location. The recorded
 //! stream is exactly what a binary-instrumented run would produce: one
 //! `(pc, outcome)` event per dynamic conditional branch, in program
-//! order.
+//! order. The tracer keeps nothing itself: it pushes each event into
+//! the [`RecordSink`] it was made with, as it happens.
 
-use bpred_trace::{BranchKind, BranchRecord, Trace};
+use std::fmt;
+
+use bpred_trace::{BranchKind, BranchRecord, RecordSink};
 
 /// Base byte address of the synthetic text segment sites are hashed
 /// into (disjoint from `bpred_sim`'s text base).
@@ -108,9 +111,11 @@ impl Site {
 /// compile time.
 ///
 /// ```
+/// use bpred_trace::Trace;
 /// use bpred_workloads::{site, Tracer};
 ///
-/// let mut t = Tracer::new("doc");
+/// let mut trace = Trace::new("doc");
+/// let mut t = Tracer::new(&mut trace);
 /// let mut count = 0;
 /// for i in 0..10 {
 ///     if t.branch(site!(), i % 3 == 0) {
@@ -118,7 +123,7 @@ impl Site {
 ///     }
 /// }
 /// assert_eq!(count, 4);
-/// assert_eq!(t.len(), 10);
+/// assert_eq!(trace.len(), 10);
 /// ```
 #[macro_export]
 macro_rules! site {
@@ -129,26 +134,31 @@ macro_rules! site {
     }};
 }
 
-/// Records the branch events a workload produces.
-#[derive(Debug, Clone)]
-pub struct Tracer {
-    trace: Trace,
+/// Records the branch events a workload produces into a [`RecordSink`]:
+/// a `Trace` to keep them, or a packed-trace builder and a cache file
+/// to skip the array-of-structs copy.
+pub struct Tracer<'s> {
+    sink: &'s mut dyn RecordSink,
 }
 
-impl Tracer {
-    /// Creates a tracer whose trace carries the workload name.
+impl fmt::Debug for Tracer<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tracer").finish_non_exhaustive()
+    }
+}
+
+impl<'s> Tracer<'s> {
+    /// Creates a tracer that pushes every event into `sink`.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            trace: Trace::new(name),
-        }
+    pub fn new(sink: &'s mut dyn RecordSink) -> Self {
+        Self { sink }
     }
 
     /// Records a conditional branch outcome and returns it, so the call
     /// can sit directly inside an `if` or `while` condition.
     #[inline]
     pub fn branch(&mut self, site: Site, taken: bool) -> bool {
-        self.trace.push(BranchRecord {
+        self.sink.push(BranchRecord {
             pc: site.pc,
             target: site.target,
             taken,
@@ -160,7 +170,7 @@ impl Tracer {
     /// Records a call event (not direction-predicted; kept for trace
     /// completeness).
     pub fn call(&mut self, site: Site) {
-        self.trace.push(BranchRecord {
+        self.sink.push(BranchRecord {
             pc: site.pc,
             target: site.target,
             taken: true,
@@ -170,36 +180,19 @@ impl Tracer {
 
     /// Records a return event.
     pub fn ret(&mut self, site: Site) {
-        self.trace.push(BranchRecord {
+        self.sink.push(BranchRecord {
             pc: site.pc,
             target: site.target,
             taken: true,
             kind: BranchKind::Return,
         });
     }
-
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// Whether nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-
-    /// Finishes tracing and hands over the trace.
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpred_trace::Trace;
 
     #[test]
     fn sites_are_stable_per_location_and_distinct_across_locations() {
@@ -259,18 +252,19 @@ mod tests {
 
     #[test]
     fn branch_returns_its_condition() {
-        let mut t = Tracer::new("t");
+        let mut trace = Trace::default();
+        let mut t = Tracer::new(&mut trace);
         assert!(t.branch(site!(), true));
         assert!(!t.branch(site!(), false));
-        assert_eq!(t.len(), 2);
+        assert_eq!(trace.len(), 2);
     }
 
     #[test]
     fn call_and_ret_record_kinds() {
-        let mut t = Tracer::new("t");
+        let mut trace = Trace::default();
+        let mut t = Tracer::new(&mut trace);
         t.call(site!());
         t.ret(site!());
-        let trace = t.into_trace();
         assert_eq!(trace.records()[0].kind, BranchKind::Call);
         assert_eq!(trace.records()[1].kind, BranchKind::Return);
         assert_eq!(trace.conditional().count(), 0);
@@ -278,12 +272,12 @@ mod tests {
 
     #[test]
     fn tracer_preserves_program_order() {
-        let mut t = Tracer::new("order");
+        let mut trace = Trace::default();
+        let mut t = Tracer::new(&mut trace);
         let s = site!();
         for i in 0..10 {
             t.branch(s, i % 2 == 0);
         }
-        let trace = t.into_trace();
         let outcomes: Vec<bool> = trace.iter().map(|r| r.taken).collect();
         assert_eq!(
             outcomes,

@@ -13,7 +13,8 @@ use bpred_workloads::{site, Tracer};
 /// (a) An instrumented Rust workload: a toy hash-join whose probe
 /// branch bias depends on the match rate.
 fn hash_join_trace(rows: usize) -> Trace {
-    let mut t = Tracer::new("hash-join");
+    let mut trace = Trace::new("hash-join");
+    let mut t = Tracer::new(&mut trace);
     let build: Vec<u64> = (0..rows as u64).filter(|k| k % 3 != 0).collect();
     let lookup = |k: u64| build.binary_search(&k).is_ok();
     let mut matches = 0u64;
@@ -27,7 +28,7 @@ fn hash_join_trace(rows: usize) -> Trace {
             }
         }
     }
-    t.into_trace()
+    trace
 }
 
 /// (b) An assembly workload on the ISA machine: GCD by subtraction

@@ -7,7 +7,7 @@ use bimode_repro::core::{Gshare, HistorySource, Predictor, TwoLevel};
 use bimode_repro::harness::experiments;
 use bimode_repro::harness::TraceSet;
 use bimode_repro::sim::{assemble, Machine};
-use bimode_repro::trace::PackedTrace;
+use bimode_repro::trace::{PackedTrace, Trace};
 use bimode_repro::workloads::{site, Scale, Suite, Tracer, Workload};
 
 #[test]
@@ -39,11 +39,11 @@ fn isa_machine_traces_flow_through_analysis() {
 
 #[test]
 fn tracer_workloads_drive_two_level_predictors() {
-    let mut t = Tracer::new("alternating");
+    let mut trace = Trace::new("alternating");
+    let mut t = Tracer::new(&mut trace);
     for i in 0..2_000 {
         t.branch(site!(), i % 2 == 0);
     }
-    let trace = t.into_trace();
     // GAg learns the alternation, bimodal-style GAs with zero history
     // cannot.
     let gag = measure(&trace, &mut TwoLevel::new(HistorySource::Global, 0, 4));
