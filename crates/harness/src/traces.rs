@@ -2,37 +2,37 @@
 //!
 //! Workload traces are deterministic, so they are generated once per
 //! (workload, scale) and cached — in memory within a `TraceSet`, and
-//! optionally on disk in the binary codec so repeated `repro`
-//! invocations skip regeneration. The harness holds every trace in one
-//! form only, the packed (SoA) [`PackedTrace`], and never builds the
-//! array-of-structs `Trace`: a cache hit streams the file straight into
-//! a [`PackedTraceBuilder`], and a miss runs the workload's generator
-//! once into the builder and, through a [`BinaryWriter`], into the
-//! cache file's temp twin, which is renamed into place.
+//! optionally on disk so repeated `repro` invocations skip
+//! regeneration. The harness holds every trace in one form only, the
+//! packed (SoA) [`PackedTrace`], and a cache file holds the same
+//! columns, checksummed ([`PackedTrace::write_to`]). A hit reads the
+//! columns back ([`PackedTrace::read_from`]) with no record decode,
+//! digest chain or site-map rebuild; a miss runs the workload's
+//! generator once into a [`PackedTraceBuilder`] and writes the finished
+//! trace to the cache file's temp twin, which is renamed into place.
 
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 
-use bpred_trace::{BinaryWriter, PackedTrace, PackedTraceBuilder};
+use bpred_trace::{PackedTrace, PackedTraceBuilder};
 use bpred_workloads::{Scale, Suite, Workload};
 
 use crate::parallel;
 
-/// Cache-format version; bump on binary-codec changes. Generator
+/// Cache-format version; bump on packed-file layout changes. Generator
 /// changes need no bump: cache files are also keyed by
 /// [`bpred_workloads::source_digest`], so editing any workload kernel
 /// (or the tracer or scale table) re-keys every cached trace
 /// automatically.
-const CACHE_VERSION: u32 = 5;
+const CACHE_VERSION: u32 = 6;
 
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-/// Packed traces built, one per [`load_trace`] call: streamed from a
-/// cache hit or packed from a generated trace.
+/// Packed traces built, one per [`load_trace`] call: read from a cache
+/// hit or packed from a generated trace.
 static PACKS_BUILT: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time reading of the process-wide trace-cache counters.
@@ -118,72 +118,36 @@ fn cached_path(workload: &Workload, scale: Scale) -> Option<PathBuf> {
     })
 }
 
-/// A cache file being written: records stream into a uniquely named
-/// temp file in the same directory, which [`CacheFile::publish`] renames
-/// into place once the generator has returned and the header's record
-/// count is patched. Readers never observe a half-written file (a crash
-/// mid-write leaves only the temp file behind) and concurrent writers
-/// of the same trace race harmlessly — renames are atomic and both
-/// sides wrote identical bytes.
-struct CacheFile<'p> {
-    path: &'p Path,
-    tmp: PathBuf,
-    writer: BinaryWriter<BufWriter<File>>,
-}
-
-impl<'p> CacheFile<'p> {
-    /// Starts the temp twin of `path` with the header of a trace named
-    /// `name`, or `None` if it cannot be created.
-    fn create(path: &'p Path, name: &str) -> Option<Self> {
-        static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed) // ordering-audited: uniqueness needs only RMW atomicity; nothing is published through the counter
-        ));
-        let file = File::create(&tmp).ok()?;
-        match BinaryWriter::new(BufWriter::new(file), name) {
-            Ok(writer) => Some(Self { path, tmp, writer }),
-            Err(_) => {
-                fs::remove_file(&tmp).ok();
-                None
-            }
-        }
+/// Writes `packed` to a uniquely named temp twin of `path` in the same
+/// directory and renames it into place. Readers never observe a
+/// half-written file (a crash mid-write leaves only the temp file
+/// behind, and bytes a crash kept from the disk fail the checksum), and
+/// concurrent writers of the same trace race harmlessly: renames are
+/// atomic and both sides wrote identical bytes. Best-effort: a failure removes
+/// the temp file and costs only a regeneration next time.
+fn publish(path: &Path, packed: &PackedTrace) {
+    static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed) // ordering-audited: uniqueness needs only RMW atomicity; nothing is published through the counter
+    ));
+    let written = File::create(&tmp).and_then(|file| packed.write_to(file));
+    if written.is_err() || fs::rename(&tmp, path).is_err() {
+        fs::remove_file(&tmp).ok();
     }
-
-    /// Patches the record count and renames the file into place.
-    /// Best-effort: a failure removes the temp file and costs only a
-    /// regeneration next time.
-    fn publish(self) {
-        let written = self.writer.finish().is_ok();
-        if !written || fs::rename(&self.tmp, self.path).is_err() {
-            fs::remove_file(&self.tmp).ok();
-        }
-    }
-}
-
-/// Streams a binary-codec trace into a [`PackedTraceBuilder`], or
-/// `None` if the bytes do not decode. Nothing is sized from the
-/// header's record count, so a lying header costs only the bytes that
-/// are really there.
-fn stream_packed(reader: impl Read) -> Option<PackedTrace> {
-    let stream = bpred_trace::stream_binary(reader).ok()?;
-    let mut builder = PackedTraceBuilder::new(stream.name());
-    for record in stream {
-        builder.append(&record.ok()?).ok()?;
-    }
-    Some(builder.finish())
 }
 
 /// Loads one workload's packed trace through the cache file at `path`
 /// (`None`: caching disabled), returning it and whether the file
-/// served it. A file that fails to decode is removed and the trace is
-/// regenerated: the generator runs once, into the packed builder and,
-/// when the cache file can be written, into that file beside it.
+/// served it. A file that fails to read is removed and the trace is
+/// regenerated: the generator runs once, into the packed builder, and
+/// the finished trace is written back when the cache file can be.
 fn load_through(path: Option<&Path>, workload: &Workload, scale: Scale) -> (PackedTrace, bool) {
     if let Some(path) = path {
         if let Ok(file) = File::open(path) {
-            if let Some(packed) = stream_packed(BufReader::new(file)) {
+            let len = file.metadata().map_or(0, |m| m.len());
+            if let Ok(packed) = PackedTrace::read_from(file, len) {
                 return (packed, true);
             }
             // Corrupt cache entry: fall through and regenerate.
@@ -191,14 +155,12 @@ fn load_through(path: Option<&Path>, workload: &Workload, scale: Scale) -> (Pack
         }
     }
     let mut builder = PackedTraceBuilder::new(workload.name());
-    match path.and_then(|path| CacheFile::create(path, workload.name())) {
-        Some(mut file) => {
-            workload.generate(scale, &mut (&mut builder, &mut file.writer));
-            file.publish();
-        }
-        None => workload.generate(scale, &mut builder),
+    workload.generate(scale, &mut builder);
+    let packed = builder.finish();
+    if let Some(path) = path {
+        publish(path, &packed);
     }
-    (builder.finish(), false)
+    (packed, false)
 }
 
 /// Loads one workload's trace from the cache, or generates it, packed.
@@ -286,27 +248,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Reads the cache file at `path` the way a hit does.
+    fn read_file(path: &Path) -> PackedTrace {
+        let bytes = fs::read(path).expect("the miss wrote the cache file");
+        PackedTrace::read_from(bytes.as_slice(), bytes.len() as u64).expect("decodes")
+    }
+
     #[test]
     fn cold_and_warm_loads_pack_every_workload_identically() {
         let dir = private_dir("loads");
         for w in Workload::all() {
-            let trace = w.trace(Scale::Smoke);
-            let want = PackedTrace::build(&trace).expect("packs");
-            let mut bytes = Vec::new();
-            bpred_trace::write_binary(&trace, &mut bytes).expect("encodes");
-            drop(trace);
+            let want = PackedTrace::build(&w.trace(Scale::Smoke)).expect("packs");
             let path = dir.join(format!("{}.bptr", w.name()));
             let (cold, hit) = load_through(Some(&path), &w, Scale::Smoke);
             assert!(!hit, "{}: an empty cache generates", w.name());
             assert_eq!(cold, want, "{}: generated", w.name());
-            assert!(
-                fs::read(&path).expect("the miss wrote the cache file") == bytes,
-                "{}: the streamed cache file is write_binary's bytes",
-                w.name()
-            );
+            assert_eq!(read_file(&path), want, "{}: the written file", w.name());
             let (warm, hit) = load_through(Some(&path), &w, Scale::Smoke);
             assert!(hit, "{}: the written cache serves", w.name());
-            assert_eq!(warm, want, "{}: streamed from the cache", w.name());
+            assert_eq!(warm, want, "{}: read from the cache", w.name());
         }
         assert!(temp_files(&dir).is_empty());
         fs::remove_dir_all(&dir).ok();
@@ -315,31 +275,43 @@ mod tests {
     #[test]
     fn corrupt_cache_files_regenerate_as_one_miss() {
         let w = Workload::by_name("compress").expect("registered");
-        let trace = w.trace(Scale::Smoke);
-        let want = PackedTrace::build(&trace).expect("packs");
+        let want = PackedTrace::build(&w.trace(Scale::Smoke)).expect("packs");
         let mut good = Vec::new();
-        bpred_trace::write_binary(&trace, &mut good).expect("encodes");
-        // magic, version, name length, name, record count.
-        let body = 4 + 1 + 4 + trace.name().len() + 8;
+        want.write_to(&mut good).expect("encodes");
+        // The packed layout: magic, version, name length and name; the
+        // record total, digest, n and k; then the columns.
+        let (n, k) = (want.len(), want.num_sites());
+        let digest_at = 4 + 1 + 4 + want.name().len() + 8;
+        let pcs_at = digest_at + 8 + 16;
+        let ids_at = pcs_at + 8 * k;
+        let outcomes_at = ids_at + 4 * n;
+        let backward_at = outcomes_at + 8 * n.div_ceil(64);
+        let checksum_at = good.len() - 8;
+        assert_eq!(backward_at + 8 * n.div_ceil(64), checksum_at);
+        let flipped = |at: usize| {
+            let mut bytes = good.clone();
+            bytes[at] ^= 0x10;
+            bytes
+        };
         let mut cut = good.clone();
-        cut.truncate(body + 17 * 10 + 5);
-        let mut bad_kind = good.clone();
-        bad_kind[body + 16] = 7 << 1;
+        cut.truncate(outcomes_at + 5);
+        let mut trailing = good.clone();
+        trailing.push(0);
         let mut oversized = good.clone();
-        oversized[body - 8..body].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        let mut lowered = good.clone();
-        lowered[body - 8..body].copy_from_slice(&10u64.to_le_bytes());
-        let mut unpatched = good;
-        unpatched[body - 8..body].copy_from_slice(&0u64.to_le_bytes());
+        oversized[digest_at + 8..digest_at + 16].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
 
         let dir = private_dir("corrupt");
         let path = dir.join("compress.bptr");
         for (case, bytes) in [
             ("cut", cut),
-            ("bad kind", bad_kind),
-            ("oversized", oversized),
-            ("count lowered", lowered),
-            ("count 0 with records", unpatched),
+            ("trailing byte", trailing),
+            ("oversized count", oversized),
+            ("flipped digest", flipped(digest_at + 3)),
+            ("flipped site pc", flipped(pcs_at + 8 * (k / 2) + 1)),
+            ("flipped site id", flipped(ids_at + 4 * (n / 2))),
+            ("flipped outcome", flipped(outcomes_at + n / 16)),
+            ("flipped backward bit", flipped(backward_at + n / 16)),
+            ("flipped checksum", flipped(checksum_at + 7)),
         ] {
             fs::write(&path, bytes).expect("write corrupt cache");
             let (packed, hit) = load_through(Some(&path), &w, Scale::Smoke);

@@ -12,34 +12,30 @@
 //!           flags bit 0 = taken, bits 1..4 = kind tag
 //! ```
 //!
-//! [`write_binary`] encodes a whole [`Trace`]. [`BinaryWriter`] encodes
-//! records as a generator pushes them (it is a [`RecordSink`]): it
-//! writes the header with a placeholder count of 0 and patches the real
-//! count in when it finishes, so its bytes equal [`write_binary`]'s.
-//! [`stream_binary`] decodes record by record and [`read_binary`]
-//! collects that stream. The decoder takes the count as a claim to
-//! check, not a size: nothing is allocated from it, a file that ends
-//! early is truncated, and bytes after the last counted record are
-//! trailing garbage. Both are [`CodecError::Malformed`], so any change
-//! to the count field fails to decode, and a header whose count was
-//! never patched cannot pass for an empty trace.
+//! [`write_binary`] encodes a whole [`Trace`]. [`stream_binary`]
+//! decodes record by record and [`read_binary`] collects that stream.
+//! The decoder takes the count as a claim to check, not a size: nothing
+//! is allocated from it, a file that ends early is truncated, and bytes
+//! after the last counted record are trailing garbage. Both are
+//! [`CodecError::Malformed`], so any change to the count field fails to
+//! decode.
+//!
+//! The harness's trace cache does not use this format: it stores the
+//! packed columns ([`PackedTrace::write_to`](crate::PackedTrace::write_to)).
 //!
 //! Text format: a `# trace: <name>` header line, then one record per
 //! line: `<pc-hex> <target-hex> <T|N> <kind>`.
 
 use std::fmt;
-use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use crate::record::{BranchKind, BranchRecord};
-use crate::sink::RecordSink;
 use crate::trace::Trace;
 
 const MAGIC: &[u8; 4] = b"BPTR";
 const VERSION: u8 = 1;
-/// Longest trace name the reader accepts, in bytes.
-const MAX_NAME_BYTES: usize = 4096;
-/// Header bytes before the name: magic, version, name length.
-const NAME_AT: u64 = 4 + 1 + 4;
+/// Longest trace name the readers accept, in bytes.
+pub(crate) const MAX_NAME_BYTES: usize = 4096;
 /// Bytes per encoded record: pc, target, flags.
 const RECORD_BYTES: usize = 17;
 
@@ -76,18 +72,8 @@ impl From<io::Error> for CodecError {
     }
 }
 
-fn malformed(msg: impl Into<String>) -> CodecError {
+pub(crate) fn malformed(msg: impl Into<String>) -> CodecError {
     CodecError::Malformed(msg.into())
-}
-
-/// Writes the binary header of a trace named `name` holding `count`
-/// records.
-fn write_header<W: Write>(writer: &mut W, name: &str, count: u64) -> io::Result<()> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&[VERSION])?;
-    writer.write_all(&(name.len() as u32).to_le_bytes())?;
-    writer.write_all(name.as_bytes())?;
-    writer.write_all(&count.to_le_bytes())
 }
 
 fn encode_record(r: &BranchRecord) -> [u8; RECORD_BYTES] {
@@ -106,98 +92,15 @@ fn encode_record(r: &BranchRecord) -> [u8; RECORD_BYTES] {
 ///
 /// Returns [`CodecError::Io`] on write failure.
 pub fn write_binary<W: Write>(trace: &Trace, mut writer: W) -> Result<(), CodecError> {
-    write_header(&mut writer, trace.name(), trace.len() as u64)?;
+    writer.write_all(MAGIC)?;
+    writer.write_all(&[VERSION])?;
+    writer.write_all(&(trace.name().len() as u32).to_le_bytes())?;
+    writer.write_all(trace.name().as_bytes())?;
+    writer.write_all(&(trace.len() as u64).to_le_bytes())?;
     for r in trace.iter() {
         writer.write_all(&encode_record(r))?;
     }
     Ok(())
-}
-
-/// Writes the binary format one record at a time, as a generator
-/// pushes them, so the trace never has to exist whole in memory.
-///
-/// [`BinaryWriter::new`] writes the header with a placeholder record
-/// count of 0; [`BinaryWriter::finish`] seeks back, patches in the
-/// number of records pushed, and returns to the end. The finished bytes
-/// equal [`write_binary`]'s for the same name and records. Until the
-/// patch, the header's 0 followed by records decodes as malformed
-/// (trailing bytes), never as an empty trace.
-///
-/// ```
-/// use std::io::Cursor;
-/// use bpred_trace::{write_binary, BinaryWriter, BranchRecord, RecordSink, Trace};
-///
-/// let mut trace = Trace::new("demo");
-/// let mut writer = BinaryWriter::new(Cursor::new(Vec::new()), "demo")?;
-/// for i in 0..3 {
-///     let r = BranchRecord::conditional(0x40, 0x20, i != 1);
-///     trace.push(r);
-///     writer.push(r);
-/// }
-/// let streamed = writer.finish()?.into_inner();
-/// let mut whole = Vec::new();
-/// write_binary(&trace, &mut whole)?;
-/// assert_eq!(streamed, whole);
-/// # Ok::<(), bpred_trace::CodecError>(())
-/// ```
-#[derive(Debug)]
-pub struct BinaryWriter<W> {
-    writer: W,
-    /// Stream position of the header's count field.
-    count_at: u64,
-    count: u64,
-    /// The first failed record write; later records are dropped and
-    /// [`BinaryWriter::finish`] returns it.
-    error: Option<io::Error>,
-}
-
-impl<W: Write + Seek> BinaryWriter<W> {
-    /// Writes the header of a trace named `name`, with a placeholder
-    /// record count, at the writer's current position.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Io`] if the header cannot be written.
-    pub fn new(mut writer: W, name: &str) -> Result<Self, CodecError> {
-        let start = writer.stream_position()?;
-        write_header(&mut writer, name, 0)?;
-        Ok(Self {
-            writer,
-            count_at: start + NAME_AT + name.len() as u64,
-            count: 0,
-            error: None,
-        })
-    }
-
-    /// Patches the record count into the header and flushes, returning
-    /// the writer positioned after the last record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Io`] for the first record that failed to
-    /// write, or if the patch or the flush fails.
-    pub fn finish(mut self) -> Result<W, CodecError> {
-        if let Some(e) = self.error.take() {
-            return Err(e.into());
-        }
-        let end = self.writer.stream_position()?;
-        self.writer.seek(SeekFrom::Start(self.count_at))?;
-        self.writer.write_all(&self.count.to_le_bytes())?;
-        self.writer.seek(SeekFrom::Start(end))?;
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> RecordSink for BinaryWriter<W> {
-    fn push(&mut self, record: BranchRecord) {
-        if self.error.is_none() {
-            if let Err(e) = self.writer.write_all(&encode_record(&record)) {
-                self.error = Some(e);
-            }
-        }
-        self.count += 1;
-    }
 }
 
 /// Reads a trace in the binary format: [`stream_binary`], collected.
@@ -461,9 +364,10 @@ mod tests {
         buf
     }
 
-    /// Byte offset of the record count in `t`'s encoding.
+    /// Byte offset of the record count in `t`'s encoding: after the
+    /// magic, the version, the name length and the name.
     fn count_at(t: &Trace) -> usize {
-        NAME_AT as usize + t.name().len()
+        4 + 1 + 4 + t.name().len()
     }
 
     #[test]
@@ -540,70 +444,6 @@ mod tests {
                 "{case}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn binary_writer_matches_write_binary() {
-        for t in [sample(), Trace::new("")] {
-            let mut writer = BinaryWriter::new(Cursor::new(Vec::new()), t.name()).unwrap();
-            for &r in t.records() {
-                writer.push(r);
-            }
-            let streamed = writer.finish().unwrap();
-            assert_eq!(streamed.position(), streamed.get_ref().len() as u64);
-            assert_eq!(streamed.into_inner(), encoded(&t), "{:?}", t.name());
-        }
-    }
-
-    #[test]
-    fn binary_writer_appends_after_existing_bytes() {
-        let t = sample();
-        let mut out = Cursor::new(b"prefix".to_vec());
-        out.seek(SeekFrom::End(0)).unwrap();
-        let mut writer = BinaryWriter::new(out, t.name()).unwrap();
-        for &r in t.records() {
-            writer.push(r);
-        }
-        let bytes = writer.finish().unwrap().into_inner();
-        assert_eq!(&bytes[..6], b"prefix");
-        assert_eq!(bytes[6..], encoded(&t));
-    }
-
-    #[test]
-    fn binary_writer_reports_the_first_failed_write() {
-        /// Accepts `room` bytes, then fails every write.
-        #[derive(Debug)]
-        struct Full {
-            inner: Cursor<Vec<u8>>,
-            room: usize,
-        }
-        impl Write for Full {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                if self.inner.get_ref().len() + buf.len() > self.room {
-                    return Err(io::Error::other("disk full"));
-                }
-                self.inner.write(buf)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        impl Seek for Full {
-            fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-                self.inner.seek(pos)
-            }
-        }
-        let t = sample();
-        let sink = Full {
-            inner: Cursor::new(Vec::new()),
-            room: count_at(&t) + 8 + 2 * RECORD_BYTES,
-        };
-        let mut writer = BinaryWriter::new(sink, t.name()).unwrap();
-        for &r in t.records() {
-            writer.push(r);
-        }
-        let err = writer.finish().unwrap_err();
-        assert!(err.to_string().contains("disk full"), "{err}");
     }
 
     #[test]

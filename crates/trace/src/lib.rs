@@ -9,10 +9,12 @@
 //! * [`TraceStats`] — the static/dynamic counts and bias distribution
 //!   reported in the paper's Table 2 and Section 4 analysis;
 //! * [`RecordSink`] — where a trace generator pushes its records: a
-//!   [`Trace`], a [`PackedTraceBuilder`], a streaming [`BinaryWriter`],
-//!   or a pair of them;
+//!   [`Trace`] or a [`PackedTraceBuilder`];
+//! * [`PackedTrace`] — the conditional branches as columns, and their
+//!   checksummed on-disk form ([`PackedTrace::write_to`],
+//!   [`PackedTrace::read_from`]), which the harness's trace cache uses;
 //! * [`codec`] — a compact binary format and a line-oriented text format
-//!   for persisting traces.
+//!   for persisting whole traces.
 //!
 //! ```
 //! use bpred_trace::{BranchRecord, Trace};
@@ -38,8 +40,7 @@ pub mod stats;
 pub mod trace;
 
 pub use codec::{
-    read_binary, read_text, stream_binary, write_binary, write_text, BinaryStream, BinaryWriter,
-    CodecError,
+    read_binary, read_text, stream_binary, write_binary, write_text, BinaryStream, CodecError,
 };
 pub use digest::TraceDigest;
 pub use packed::{PackError, PackedRecord, PackedTrace, PackedTraceBuilder, SEAL_RECORDS};

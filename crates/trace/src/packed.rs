@@ -34,11 +34,39 @@
 //! per-record columns seal in fixed-size blocks of [`SEAL_RECORDS`]
 //! (a sealed block's bytes never change again), and a running
 //! [`TraceDigest`] identifies the stream so far. The builder is a
-//! [`RecordSink`], so a workload generator can push straight into it
-//! (with a cache file's [`BinaryWriter`](crate::BinaryWriter) beside
-//! it); a cache hit streams the file's records into it; and
-//! [`PackedTrace::build`] is the same builder fed a whole [`Trace`].
+//! [`RecordSink`], so a workload generator can push straight into it,
+//! and [`PackedTrace::build`] is the same builder fed a whole [`Trace`].
+//!
+//! A finished trace persists as its columns: [`PackedTrace::write_to`]
+//! and [`PackedTrace::read_from`] move them through pieces of at most
+//! 64 KiB, little-endian, in this layout:
+//!
+//! ```text
+//! magic    "BPPK"                    4 bytes
+//! version  u8                        = 1
+//! name     u32 len + UTF-8 bytes     (the reader takes at most 4096)
+//! total    u64                       records of any kind (stats.dynamic_total)
+//! digest   u64                       the source trace's digest
+//! n        u64                       conditional records
+//! k        u64                       distinct sites
+//! pcs      k × u64                   site id -> PC
+//! ids      n × u32                   per-record site ids
+//! outcomes ⌈n/64⌉ × u64              taken bits, record i at bit i % 64
+//! backward ⌈n/64⌉ × u64              target < pc bits, likewise
+//! checksum u64                       over every byte before it
+//! ```
+//!
+//! The checksum folds 8-byte words into four independent lanes, each
+//! step a bijection of its lane's state, so any single-bit flip
+//! changes it. The reader checks every count against the input's
+//! length before it allocates, and recomputes [`TraceStats`] from the
+//! columns. The file cannot re-derive the source digest (targets and
+//! non-conditional records are not kept), so the stored digest is
+//! trusted only under the checksum.
 
+use std::io::{self, Read, Write};
+
+use crate::codec::{malformed, CodecError, MAX_NAME_BYTES};
 use crate::digest::TraceDigest;
 use crate::record::{BranchKind, BranchRecord};
 use crate::sink::RecordSink;
@@ -261,6 +289,374 @@ impl PackedTrace {
     pub fn unpacked_bytes(&self) -> usize {
         self.sites.len() * std::mem::size_of::<BranchRecord>()
     }
+
+    /// Writes the trace's columns in the checksummed file layout of
+    /// the [module docs](self), in pieces of at most 64 KiB, so a `File`
+    /// needs no `BufWriter`. A `&mut` reference can be
+    /// passed for `writer`.
+    ///
+    /// ```
+    /// use bpred_trace::{BranchRecord, PackedTrace, Trace};
+    ///
+    /// let mut trace = Trace::new("demo");
+    /// trace.push(BranchRecord::conditional(0x1000, 0x0FF0, true));
+    /// trace.push(BranchRecord::unconditional(0x1004, 0x2000));
+    /// let packed = PackedTrace::build(&trace).unwrap();
+    /// let mut file = Vec::new();
+    /// packed.write_to(&mut file)?;
+    /// let back = PackedTrace::read_from(file.as_slice(), file.len() as u64)?;
+    /// assert_eq!(back, packed);
+    /// # Ok::<(), bpred_trace::CodecError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write error, or [`io::ErrorKind::InvalidInput`]
+    /// for a name longer than the reader accepts (4096 bytes).
+    pub fn write_to<W: Write>(&self, writer: W) -> io::Result<()> {
+        let name_len = u32::try_from(self.name.len())
+            .ok()
+            .filter(|_| self.name.len() <= MAX_NAME_BYTES)
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "trace name over 4096 bytes")
+            })?;
+        let mut out = Output {
+            writer,
+            checksum: Checksum::new(),
+            buf: Vec::with_capacity(IO_CHUNK),
+        };
+        out.put(PACKED_MAGIC)?;
+        out.put(&[PACKED_VERSION])?;
+        out.put(&name_len.to_le_bytes())?;
+        out.put(self.name.as_bytes())?;
+        let counts = [
+            self.stats.dynamic_total,
+            self.digest,
+            self.len() as u64,
+            self.num_sites() as u64,
+        ];
+        for word in counts.iter().chain(&self.site_pcs) {
+            out.put(&word.to_le_bytes())?;
+        }
+        for id in &self.sites {
+            out.put(&id.to_le_bytes())?;
+        }
+        for word in self.outcomes.words.iter().chain(&self.backward.words) {
+            out.put(&word.to_le_bytes())?;
+        }
+        out.finish()
+    }
+
+    /// Reads a trace [`write_to`](Self::write_to) wrote, from untrusted
+    /// bytes. `byte_len` is the input's length (a file's metadata
+    /// length): every count in the header is checked against it before
+    /// anything is allocated, each column is then allocated once at its
+    /// exact size and filled in pieces of at most 64 KiB, and
+    /// [`TraceStats`] are recomputed from the columns. A `&mut`
+    /// reference can be passed for `reader`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Io`] on read failure and
+    /// [`CodecError::Malformed`] when the bytes are not such a file:
+    /// a bad magic, version or name, counts that disagree with
+    /// `byte_len`, a checksum mismatch, a record total below the
+    /// conditional record count, site ids out of first-appearance
+    /// order or a site no record uses, set bits past the last record,
+    /// or bytes after the checksum.
+    pub fn read_from<R: Read>(reader: R, byte_len: u64) -> Result<Self, CodecError> {
+        let mut input = Input {
+            reader,
+            checksum: Checksum::new(),
+            buf: Vec::new(),
+        };
+        let head: [u8; 9] = input.array()?;
+        if head[..4] != PACKED_MAGIC[..] {
+            return Err(malformed("bad magic"));
+        }
+        if head[4] != PACKED_VERSION {
+            return Err(malformed(format!("unsupported version {}", head[4])));
+        }
+        let name_len = u32::from_le_bytes([head[5], head[6], head[7], head[8]]);
+        let name_len = usize::try_from(name_len).unwrap_or(usize::MAX);
+        // magic, version and name length; then total, digest, n and k.
+        let header_len = 9 + name_len as u64 + 4 * 8;
+        if name_len > MAX_NAME_BYTES || header_len > byte_len {
+            return Err(malformed(format!("name length {name_len}")));
+        }
+        let name = input.take(name_len)?.to_vec();
+        let name = String::from_utf8(name).map_err(|_| malformed("name is not UTF-8"))?;
+        let [total, digest, n, k] = [input.word()?, input.word()?, input.word()?, input.word()?];
+        let words = n.div_ceil(64);
+        let file_len = [
+            k.checked_mul(8),
+            n.checked_mul(4),
+            words.checked_mul(16),
+            Some(8),
+        ]
+        .into_iter()
+        .try_fold(header_len, |len, part| len.checked_add(part?));
+        if file_len != Some(byte_len) {
+            return Err(malformed(format!(
+                "{n} records and {k} sites do not fit {byte_len} bytes"
+            )));
+        }
+        if total < n {
+            return Err(malformed(format!("{total} records hold {n} conditionals")));
+        }
+        let count = |c: u64| usize::try_from(c).map_err(|_| malformed("count exceeds memory"));
+        let (n, k, words) = (count(n)?, count(k)?, count(words)?);
+        let site_pcs = input.column(k, u64::from_le_bytes)?;
+        let sites = input.column(n, u32::from_le_bytes)?;
+        let outcomes = BitColumn {
+            words: input.column(words, u64::from_le_bytes)?,
+        };
+        let backward = BitColumn {
+            words: input.column(words, u64::from_le_bytes)?,
+        };
+        let checksum = input.checksum.finish();
+        let mut stored = [0u8; 8];
+        input.reader.read_exact(&mut stored)?;
+        if u64::from_le_bytes(stored) != checksum {
+            return Err(malformed("checksum mismatch"));
+        }
+        match input.reader.read_exact(&mut [0u8; 1]) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {}
+            Err(e) => return Err(e.into()),
+            Ok(()) => return Err(malformed("trailing bytes after the checksum")),
+        }
+        let tail = n % WORD_BITS;
+        for column in [&outcomes, &backward] {
+            if tail != 0 && column.words.last().is_some_and(|&w| w >> tail != 0) {
+                return Err(malformed("bits set past the last record"));
+            }
+        }
+        let mut tallies = vec![(0u64, 0u64); k];
+        let mut used = 0;
+        for (index, &id) in sites.iter().enumerate() {
+            let site = id as usize; // cast-audited: u32 id widens losslessly
+            let tally = tallies
+                .get_mut(site)
+                .filter(|_| site <= used)
+                .ok_or_else(|| {
+                    malformed(format!(
+                        "record {index}: site id {id} out of range or order"
+                    ))
+                })?;
+            used += usize::from(site == used);
+            tally.0 += u64::from(outcomes.get(index));
+            tally.1 += 1;
+        }
+        if used != k {
+            return Err(malformed(format!("site {used} of {k} is never used")));
+        }
+        Ok(PackedTrace {
+            name,
+            stats: stats_of(total, &site_pcs, &tallies),
+            sites,
+            outcomes,
+            backward,
+            site_pcs,
+            digest,
+        })
+    }
+}
+
+/// The [`TraceStats`] of `dynamic_total` records whose conditional
+/// sites (by id) have the PCs `site_pcs` and (taken, executions)
+/// `tallies`.
+fn stats_of(dynamic_total: u64, site_pcs: &[u64], tallies: &[(u64, u64)]) -> TraceStats {
+    let sites = site_pcs
+        .iter()
+        .zip(tallies)
+        .map(|(&pc, &(taken, executions))| SiteSummary {
+            pc,
+            executions,
+            taken,
+        });
+    TraceStats::from_sites(dynamic_total, sites)
+}
+
+const PACKED_MAGIC: &[u8; 4] = b"BPPK";
+const PACKED_VERSION: u8 = 1;
+
+/// The largest piece [`PackedTrace::write_to`] and
+/// [`PackedTrace::read_from`] move at once, in bytes.
+const IO_CHUNK: usize = 64 * 1024;
+
+/// The write side of the packed file: bytes gather in a buffer of at
+/// most [`IO_CHUNK`] bytes, which is checksummed as it is written out.
+struct Output<W> {
+    writer: W,
+    checksum: Checksum,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> Output<W> {
+    /// Appends `bytes` (at most [`IO_CHUNK`]), writing the buffer out
+    /// first if they would overflow it.
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.buf.len() + bytes.len() > IO_CHUNK {
+            self.drain()?;
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn drain(&mut self) -> io::Result<()> {
+        self.checksum.update(&self.buf);
+        self.writer.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Writes the rest, then the checksum of everything, and flushes.
+    fn finish(mut self) -> io::Result<()> {
+        self.drain()?;
+        self.writer
+            .write_all(&self.checksum.finish().to_le_bytes())?;
+        self.writer.flush()
+    }
+}
+
+/// The read side of the packed file: every byte read through it is
+/// checksummed, in pieces of at most [`IO_CHUNK`] bytes.
+struct Input<R> {
+    reader: R,
+    checksum: Checksum,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> Input<R> {
+    /// The next `len` bytes, `len` at most [`IO_CHUNK`].
+    fn take(&mut self, len: usize) -> io::Result<&[u8]> {
+        self.buf.resize(len, 0);
+        self.reader.read_exact(&mut self.buf)?;
+        self.checksum.update(&self.buf);
+        Ok(&self.buf)
+    }
+
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut bytes = [0u8; N];
+        bytes.copy_from_slice(self.take(N)?);
+        Ok(bytes)
+    }
+
+    fn word(&mut self) -> io::Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads `count` little-endian values of `N` bytes each into a
+    /// column allocated once at its exact size.
+    fn column<T, const N: usize>(
+        &mut self,
+        count: usize,
+        decode: fn([u8; N]) -> T,
+    ) -> io::Result<Vec<T>> {
+        let mut column = Vec::with_capacity(count);
+        while column.len() < count {
+            let values = (count - column.len()).min(IO_CHUNK / N);
+            let (chunks, _) = self.take(values * N)?.as_chunks::<N>();
+            column.extend(chunks.iter().map(|&bytes| decode(bytes)));
+        }
+        Ok(column)
+    }
+}
+
+/// Bytes one checksum stripe covers: one 8-byte word per lane.
+const STRIPE: usize = 32;
+
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+
+/// The packed file's 64-bit checksum, streamed over any chunking of
+/// its bytes.
+///
+/// Word `j` of the input (8 bytes, little-endian) folds into lane
+/// `j % 4`, so four independent multiply chains share the work. A
+/// lane step, `acc ↦ rotl(acc + word·P2, 31)·P1`, is a bijection of
+/// the lane's state for a fixed word and of the word for a fixed state;
+/// so is each step that merges the lanes, the trailing whole words and
+/// the zero-padded last partial word into the result, and so is the
+/// final mix. A single changed word therefore always changes the
+/// checksum: no single-bit flip goes unseen.
+#[derive(Debug, Clone)]
+struct Checksum {
+    lanes: [u64; 4],
+    /// Bytes of the stripe not yet folded.
+    pending: [u8; STRIPE],
+    pending_len: usize,
+    total: u64,
+}
+
+impl Checksum {
+    fn new() -> Self {
+        Self {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            pending: [0; STRIPE],
+            pending_len: 0,
+            total: 0,
+        }
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = bytes.len().min(STRIPE - self.pending_len);
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < STRIPE {
+                return;
+            }
+            let stripe = self.pending;
+            self.fold(&stripe);
+            self.pending_len = 0;
+        }
+        let (stripes, rest) = bytes.as_chunks::<STRIPE>();
+        for stripe in stripes {
+            self.fold(stripe);
+        }
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    fn fold(&mut self, stripe: &[u8; STRIPE]) {
+        let (words, _) = stripe.as_chunks::<8>();
+        for (lane, &word) in self.lanes.iter_mut().zip(words) {
+            *lane = lane_step(*lane, u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let (words, tail) = self.pending[..self.pending_len].as_chunks::<8>();
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        let tail_word = (!tail.is_empty()).then_some(u64::from_le_bytes(last));
+        let mut h = self.total.wrapping_mul(P3);
+        for word in self
+            .lanes
+            .iter()
+            .copied()
+            .chain(words.iter().map(|&w| u64::from_le_bytes(w)))
+            .chain(tail_word)
+        {
+            h = (h ^ lane_step(0, word)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
+fn lane_step(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
 }
 
 /// Conditional records per sealed block of a [`PackedTraceBuilder`]:
@@ -429,23 +825,13 @@ impl PackedTraceBuilder {
     /// Seals the tail and returns the finished [`PackedTrace`].
     #[must_use]
     pub fn finish(self) -> PackedTrace {
-        let sites =
-            self.site_pcs
-                .iter()
-                .zip(&self.site_outcomes)
-                .map(|(&pc, &(taken, executions))| SiteSummary {
-                    pc,
-                    executions,
-                    taken,
-                });
-        let stats = TraceStats::from_sites(self.records_seen, sites);
         PackedTrace {
             name: self.name,
+            stats: stats_of(self.records_seen, &self.site_pcs, &self.site_outcomes),
             sites: self.sites,
             outcomes: self.outcomes,
             backward: self.backward,
             site_pcs: self.site_pcs,
-            stats,
             digest: self.digest.finish(),
         }
     }
@@ -469,6 +855,7 @@ impl RecordSink for PackedTraceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Trace {
         let mut t = Trace::new("sample");
@@ -694,5 +1081,236 @@ mod tests {
             p.packed_bytes(),
             p.unpacked_bytes()
         );
+    }
+
+    fn file(p: &PackedTrace) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        p.write_to(&mut bytes).unwrap();
+        bytes
+    }
+
+    fn read(bytes: &[u8]) -> Result<PackedTrace, CodecError> {
+        PackedTrace::read_from(bytes, bytes.len() as u64)
+    }
+
+    /// Recomputes the trailing checksum of an edited file, so the edit
+    /// reaches the structural checks behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let mut checksum = Checksum::new();
+        checksum.update(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.finish().to_le_bytes());
+    }
+
+    /// A trace of `records` records of every kind over `sites` branch
+    /// sites, derived from `seed`.
+    fn fuzz_trace(records: usize, sites: u64, seed: u64) -> Trace {
+        let mut t = Trace::new("fuzz");
+        let mut state = seed;
+        for _ in 0..records {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let pc = 0x1000 + (state >> 33) % sites * 4;
+            let target = pc.wrapping_add((state >> 7) % 64).wrapping_sub(32);
+            let kind = BranchKind::ALL[usize::from(state % 8 < 3) * ((state >> 3) as usize % 5)];
+            t.push(BranchRecord {
+                pc,
+                target,
+                taken: state >> 63 == 1,
+                kind,
+            });
+        }
+        t
+    }
+
+    #[test]
+    fn write_to_lays_out_the_documented_columns() {
+        let p = PackedTrace::build(&sample()).unwrap();
+        let bytes = file(&p);
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(&bytes[..5], b"BPPK\x01");
+        assert_eq!(bytes[5..9], 6u32.to_le_bytes());
+        assert_eq!(&bytes[9..15], b"sample");
+        let at = 15;
+        assert_eq!(word(at), 4, "records of any kind");
+        assert_eq!(word(at + 8), p.digest());
+        assert_eq!((word(at + 16), word(at + 24)), (3, 2), "n and k");
+        assert_eq!((word(at + 32), word(at + 40)), (0x100, 0x200), "site pcs");
+        assert_eq!(
+            bytes[at + 48..at + 60],
+            [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(
+            (word(at + 60), word(at + 68)),
+            (0b001, 0b101),
+            "taken, backward"
+        );
+        assert_eq!(bytes.len(), at + 76 + 8);
+        let mut checksum = Checksum::new();
+        checksum.update(&bytes[..at + 76]);
+        assert_eq!(word(at + 76), checksum.finish());
+    }
+
+    #[test]
+    fn the_checksum_ignores_how_its_input_is_chunked() {
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 37 % 251) as u8).collect();
+        let mut whole = Checksum::new();
+        whole.update(&bytes);
+        for piece in [1, 7, 8, 31, 32, 33, 100] {
+            let mut chunked = Checksum::new();
+            for chunk in bytes.chunks(piece) {
+                chunked.update(chunk);
+            }
+            assert_eq!(chunked.finish(), whole.finish(), "pieces of {piece}");
+        }
+        let mut shorter = Checksum::new();
+        shorter.update(&bytes[..299]);
+        assert_ne!(shorter.finish(), whole.finish());
+    }
+
+    #[test]
+    fn columns_larger_than_one_io_chunk_round_trip() {
+        let mut t = Trace::new("long");
+        for i in 0..(IO_CHUNK / 4 + 100) as u64 {
+            t.push(BranchRecord::conditional(
+                0x1000 + i % 40 * 4,
+                0x1040,
+                i % 3 == 0,
+            ));
+        }
+        let p = PackedTrace::build(&t).unwrap();
+        assert!(p.len() * 4 > IO_CHUNK, "the id column spans two pieces");
+        assert_eq!(read(&file(&p)).unwrap(), p);
+    }
+
+    #[test]
+    fn trailing_bytes_stray_tail_bits_and_bad_ids_are_errors() {
+        let p = PackedTrace::build(&sample()).unwrap();
+        let good = file(&p);
+        let (n_at, ids_at, outcomes_at) = (31, 63, 75);
+        let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = good.clone();
+            edit(&mut bytes);
+            reseal(&mut bytes);
+            bytes
+        };
+        let mut extra = good.clone();
+        extra.push(0);
+        let cases = [
+            ("a trailing byte", "do not fit", read(&extra)),
+            (
+                "a trailing byte past byte_len",
+                "trailing bytes",
+                PackedTrace::read_from(extra.as_slice(), good.len() as u64),
+            ),
+            (
+                "a stray taken bit",
+                "past the last record",
+                read(&edited(&|b| b[outcomes_at] |= 8)),
+            ),
+            (
+                "a stray backward bit",
+                "past the last record",
+                read(&edited(&|b| b[outcomes_at + 15] |= 0x80)),
+            ),
+            (
+                "an id >= k",
+                "site id 2 out of range",
+                read(&edited(&|b| b[ids_at + 4] = 2)),
+            ),
+            (
+                "an id before its first use",
+                "site id 1 out of",
+                read(&edited(&|b| b[ids_at] = 1)),
+            ),
+            (
+                "an unused site",
+                "never used",
+                read(&edited(&|b| b[ids_at + 4] = 0)),
+            ),
+            (
+                "a total below n",
+                "2 records hold 3",
+                read(&edited(&|b| {
+                    b[n_at - 16..n_at - 8].copy_from_slice(&2u64.to_le_bytes())
+                })),
+            ),
+        ];
+        for (case, message, result) in cases {
+            assert!(
+                matches!(&result, Err(CodecError::Malformed(m)) if m.contains(message)),
+                "{case}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_name_the_reader_refuses_is_not_written() {
+        let mut t = sample();
+        t.set_name("x".repeat(MAX_NAME_BYTES + 1));
+        let p = PackedTrace::build(&t).unwrap();
+        let err = p.write_to(Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    proptest! {
+        #[test]
+        fn packed_files_round_trip(
+            records in 0usize..131,
+            sites in 1u64..41,
+            seed in any::<u64>(),
+        ) {
+            let p = PackedTrace::build(&fuzz_trace(records, sites, seed)).unwrap();
+            prop_assert_eq!(read(&file(&p)).unwrap(), p);
+        }
+
+        #[test]
+        fn truncation_at_any_byte_is_an_error(
+            records in 0usize..131,
+            seed in any::<u64>(),
+            cut in any::<u64>(),
+        ) {
+            let bytes = file(&PackedTrace::build(&fuzz_trace(records, 9, seed)).unwrap());
+            let cut = (cut % bytes.len() as u64) as usize;
+            prop_assert!(read(&bytes[..cut]).is_err(), "cut at {}", cut);
+            prop_assert!(
+                PackedTrace::read_from(&bytes[..cut], bytes.len() as u64).is_err(),
+                "cut at {} of a claimed full length", cut
+            );
+        }
+
+        #[test]
+        fn any_single_bit_flip_is_an_error(
+            records in 0usize..131,
+            seed in any::<u64>(),
+            bit in any::<u64>(),
+        ) {
+            let mut bytes = file(&PackedTrace::build(&fuzz_trace(records, 9, seed)).unwrap());
+            let bit = (bit % (8 * bytes.len() as u64)) as usize;
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(read(&bytes).is_err(), "bit {}", bit);
+        }
+
+        #[test]
+        fn counts_larger_than_the_input_allocate_nothing(
+            records in 0usize..131,
+            seed in any::<u64>(),
+            field in 0usize..3,
+            claim in any::<u64>(),
+        ) {
+            let p = PackedTrace::build(&fuzz_trace(records, 9, seed)).unwrap();
+            let mut bytes = file(&p);
+            // A count the input cannot hold: had the reader sized a
+            // column from it, the allocation would abort the test.
+            let claim = claim | 1 << 40;
+            if field == 2 {
+                bytes[5..9].copy_from_slice(&(claim as u32 | 1 << 31).to_le_bytes());
+            } else {
+                let at = 9 + p.name().len() + 16 + 8 * field;
+                bytes[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+            }
+            prop_assert!(read(&bytes).is_err(), "field {} claims {}", field, claim);
+        }
     }
 }
