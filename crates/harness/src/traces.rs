@@ -123,8 +123,8 @@ fn cached_path(workload: &Workload, scale: Scale) -> Option<PathBuf> {
 /// half-written file (a crash mid-write leaves only the temp file
 /// behind, and bytes a crash kept from the disk fail the checksum), and
 /// concurrent writers of the same trace race harmlessly: renames are
-/// atomic and both sides wrote identical bytes. Best-effort: a failure removes
-/// the temp file and costs only a regeneration next time.
+/// atomic and both sides wrote identical bytes. Best-effort: a failure
+/// removes the temp file and costs only a regeneration next time.
 fn publish(path: &Path, packed: &PackedTrace) {
     static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
     let tmp = path.with_extension(format!(

@@ -431,6 +431,9 @@ impl PackedTrace {
                 return Err(malformed("bits set past the last record"));
             }
         }
+        // The builder assigns ids in first-appearance order, so a record
+        // may only name a site already seen or the next new one; with
+        // `used == k` at the end, every site has executed at least once.
         let mut tallies = vec![(0u64, 0u64); k];
         let mut used = 0;
         for (index, &id) in sites.iter().enumerate() {
@@ -1113,7 +1116,12 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             let pc = 0x1000 + (state >> 33) % sites * 4;
             let target = pc.wrapping_add((state >> 7) % 64).wrapping_sub(32);
-            let kind = BranchKind::ALL[usize::from(state % 8 < 3) * ((state >> 3) as usize % 5)];
+            // About three records in ten are not conditional branches.
+            let kind = if state % 8 < 3 {
+                BranchKind::ALL[(state >> 3) as usize % 5]
+            } else {
+                BranchKind::Conditional
+            };
             t.push(BranchRecord {
                 pc,
                 target,
@@ -1305,7 +1313,15 @@ mod tests {
             // column from it, the allocation would abort the test.
             let claim = claim | 1 << 40;
             if field == 2 {
-                bytes[5..9].copy_from_slice(&(claim as u32 | 1 << 31).to_le_bytes());
+                // A name past the input's end, within the 4096-byte
+                // limit or beyond it.
+                let len = bytes.len() as u32;
+                let name_len = if claim.is_multiple_of(2) {
+                    len + claim as u32 % 3000
+                } else {
+                    claim as u32 | 1 << 31
+                };
+                bytes[5..9].copy_from_slice(&name_len.to_le_bytes());
             } else {
                 let at = 9 + p.name().len() + 16 + 8 * field;
                 bytes[at..at + 8].copy_from_slice(&claim.to_le_bytes());
