@@ -17,10 +17,13 @@
 //! (pc, backwardness, outcome) information the scalar loop feeds each
 //! predictor.
 
+use std::time::Instant;
+
 use bpred_core::Predictor;
 use bpred_trace::PackedTrace;
 
-use crate::session::{BatchSession, PackedSession};
+use crate::metrics::{self, Engine};
+use crate::session::PackedSession;
 use crate::simulate::RunResult;
 
 /// Drives `predictor` over a packed trace in program order, one
@@ -55,12 +58,28 @@ pub fn measure_packed<P: Predictor + ?Sized>(packed: &PackedTrace, predictor: &m
 /// `&mut [BiMode]`, …) monomorphise the inner loop with no virtual
 /// dispatch; mixed batches work through `Box<dyn Predictor>`.
 ///
-/// Thin wrapper over [`BatchSession`]: open, feed the whole trace,
-/// finish.
+/// Records one [`Engine::Batch`] drive: branches × predictors retired
+/// over as many lanes, with the loop's busy time.
 pub fn measure_batch<P: Predictor>(packed: &PackedTrace, predictors: &mut [P]) -> Vec<RunResult> {
-    let mut session = BatchSession::new(predictors);
-    session.feed(packed.records());
-    session.finish()
+    let started = Instant::now();
+    let mut missed = vec![0u64; predictors.len()];
+    for r in packed.records() {
+        let (pc, target, taken) = (r.pc, r.target(), r.taken);
+        for (predictor, missed) in predictors.iter_mut().zip(&mut missed) {
+            *missed += u64::from(predictor.retire(pc, Some(target), taken) != taken);
+        }
+    }
+    let busy = started.elapsed();
+    let branches = packed.len() as u64;
+    let configs = predictors.len() as u64;
+    metrics::record_engine_drive(Engine::Batch, branches * configs, configs, busy);
+    missed
+        .into_iter()
+        .map(|mispredictions| RunResult {
+            branches,
+            mispredictions,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -145,8 +164,8 @@ mod tests {
 
     #[test]
     fn block_boundary_exactness() {
-        // Lengths one under, at and one over a 4096-record sealed block
-        // of the packed columns.
+        // Lengths one under, at and one over 4096 records: partial and
+        // whole final words of the packed bit columns.
         for len in [4095u64, 4096, 4097] {
             let t: Trace = (0..len)
                 .map(|i| BranchRecord::conditional(0x1000 + (i % 5) * 4, 0, i % 7 < 3))

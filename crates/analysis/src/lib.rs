@@ -61,8 +61,8 @@ pub const ENGINE_EPOCH: u64 = 1;
 pub use aliasing::AliasReport;
 pub use batch::{measure_batch, measure_packed};
 pub use bias::{BiasClass, StreamStats};
-pub use metrics::{DriveSnapshot, Engine, EngineDrive, EngineSnapshot};
-pub use session::{BatchSession, PackedSession, SlicedSession};
+pub use metrics::{Engine, EngineDrive, EngineSnapshot};
+pub use session::{PackedSession, SlicedSession};
 pub use simulate::{measure, measure_with_flushes, RunResult};
 pub use sites::{SiteMisses, SiteTally};
 pub use sliced::{measure_sliced, measure_sliced_chunks, LaneSpec, MAX_LANES};

@@ -3,9 +3,8 @@
 //!
 //! Every measurement loop in this crate ([`measure`](crate::measure),
 //! [`measure_with_flushes`](crate::measure_with_flushes), the analysis
-//! loops, and the engine sessions behind
-//! [`measure_packed`](crate::measure_packed),
-//! [`measure_batch`](crate::measure_batch) and
+//! loops, [`measure_batch`](crate::measure_batch), and the engine
+//! sessions behind [`measure_packed`](crate::measure_packed) and
 //! [`measure_sliced`](crate::measure_sliced)) records, against its
 //! [`Engine`]: how many (lane, branch) pairs it simulated, how many
 //! predictor lanes it retired, and how long the loop itself ran (busy
@@ -23,9 +22,10 @@
 //!
 //! Relaxed atomics suffice: the counters are statistics, not
 //! synchronisation, and each is independently monotone. The aggregate
-//! [`snapshot`] is *derived* from the per-engine slots (never stored
-//! separately), so engine totals always sum exactly to the global
-//! totals — an invariant the manifest validator checks per stage.
+//! [`EngineSnapshot::total`] is *derived* from the per-engine slots
+//! (never stored separately), so engine totals always sum exactly to
+//! the global totals — an invariant the manifest validator checks per
+//! stage.
 
 use std::time::Duration;
 
@@ -203,36 +203,12 @@ impl EngineSnapshot {
         Engine::ALL.into_iter().map(|e| (e, self.get(e)))
     }
 
-    /// The aggregate view: engine branches and lanes summed into the
-    /// legacy [`DriveSnapshot`] shape.
+    /// The aggregate view: every engine's counters summed.
     #[must_use]
-    pub fn total(&self) -> DriveSnapshot {
-        let mut total = DriveSnapshot::default();
-        for drive in self.per {
-            total.branches += drive.branches;
-            total.configs += drive.lanes;
-        }
-        total
-    }
-}
-
-/// A point-in-time reading of the aggregate drive counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DriveSnapshot {
-    /// Total (lane, branch) pairs simulated so far.
-    pub branches: u64,
-    /// Total predictor lanes retired so far (historically "configs").
-    pub configs: u64,
-}
-
-impl DriveSnapshot {
-    /// The work recorded between `earlier` and `self`.
-    #[must_use]
-    pub fn since(&self, earlier: &DriveSnapshot) -> DriveSnapshot {
-        DriveSnapshot {
-            branches: self.branches.saturating_sub(earlier.branches),
-            configs: self.configs.saturating_sub(earlier.configs),
-        }
+    pub fn total(&self) -> EngineDrive {
+        self.per
+            .iter()
+            .fold(EngineDrive::default(), |total, drive| total.plus(drive))
     }
 }
 
@@ -249,13 +225,6 @@ pub fn record_engine_drive(engine: Engine, branches: u64, lanes: u64, busy: Dura
     slot.lanes.fetch_add(lanes, Ordering::Relaxed); // ordering-audited: monotone statistic, see above
     let nanos = u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX);
     slot.busy_nanos.fetch_add(nanos, Ordering::Relaxed); // ordering-audited: monotone statistic, see above
-}
-
-/// Records one untimed scalar drive. Kept for analysis loops whose
-/// per-iteration work is not a plain measurement pass; their busy time
-/// is attributed by the caller when it matters.
-pub fn record_drive(branches: u64, configs: u64) {
-    record_engine_drive(Engine::Scalar, branches, configs, Duration::ZERO);
 }
 
 /// Reads the current per-engine counter values.
@@ -277,13 +246,6 @@ pub fn engine_snapshot() -> EngineSnapshot {
     out
 }
 
-/// Reads the aggregate counter values (derived from the per-engine
-/// slots, so engine breakdowns always sum to this total).
-#[must_use]
-pub fn snapshot() -> DriveSnapshot {
-    engine_snapshot().total()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,11 +255,11 @@ mod tests {
 
     #[test]
     fn record_advances_both_counters() {
-        let before = snapshot();
-        record_drive(1000, 3);
-        let delta = snapshot().since(&before);
+        let before = engine_snapshot();
+        record_engine_drive(Engine::Scalar, 1000, 3, Duration::ZERO);
+        let delta = engine_snapshot().since(&before).total();
         assert!(delta.branches >= 1000);
-        assert!(delta.configs >= 3);
+        assert!(delta.lanes >= 3);
     }
 
     #[test]
@@ -317,8 +279,10 @@ mod tests {
         let total = snap.total();
         let branches: u64 = Engine::ALL.iter().map(|&e| snap.get(e).branches).sum();
         let lanes: u64 = Engine::ALL.iter().map(|&e| snap.get(e).lanes).sum();
+        let busy: u64 = Engine::ALL.iter().map(|&e| snap.get(e).busy_nanos).sum();
         assert_eq!(total.branches, branches);
-        assert_eq!(total.configs, lanes);
+        assert_eq!(total.lanes, lanes);
+        assert_eq!(total.busy_nanos, busy);
     }
 
     #[test]
@@ -354,20 +318,23 @@ mod tests {
 
     #[test]
     fn since_saturates_rather_than_wrapping() {
-        let newer = DriveSnapshot {
+        let newer = EngineDrive {
             branches: 5,
-            configs: 1,
+            lanes: 1,
+            busy_nanos: 2,
         };
-        let older = DriveSnapshot {
+        let older = EngineDrive {
             branches: 9,
-            configs: 4,
+            lanes: 4,
+            busy_nanos: 7,
         };
-        assert_eq!(newer.since(&older), DriveSnapshot::default());
+        assert_eq!(newer.since(&older), EngineDrive::default());
         assert_eq!(
             older.since(&newer),
-            DriveSnapshot {
+            EngineDrive {
                 branches: 4,
-                configs: 3
+                lanes: 3,
+                busy_nanos: 5
             }
         );
     }
@@ -390,8 +357,8 @@ mod tests {
         assert!(delta.get(Engine::Packed).branches >= 500, "got {delta:?}");
         assert!(delta.get(Engine::Batch).branches >= 1000, "got {delta:?}");
         assert!(delta.get(Engine::Batch).lanes >= 2, "got {delta:?}");
-        let total = snapshot().since(&before.total());
+        let total = delta.total();
         assert!(total.branches >= 500 * 4, "got {total:?}");
-        assert!(total.configs >= 4, "got {total:?}");
+        assert!(total.lanes >= 4, "got {total:?}");
     }
 }

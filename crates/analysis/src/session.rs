@@ -1,18 +1,12 @@
-//! Incremental engine sessions: the `feed(chunk)` / `checkpoint()` /
-//! `finish()` seam under every measurement loop.
+//! Incremental engine sessions: the `feed(chunk)` / `finish()` seam
+//! under the packed and sliced engines and the streaming service.
 //!
-//! The one-shot `measure_*` entry points take a whole
-//! [`PackedTrace`](bpred_trace::PackedTrace) and return finished
-//! results, which caps trace size at memory and rules out long-running
-//! service use. A *session* is the same engine with its state made
-//! explicit and resumable between chunks:
+//! A *session* is an engine with its state made explicit and resumable
+//! between chunks:
 //!
 //! * [`PackedSession`] — one predictor ([`crate::measure_packed`]'s
 //!   loop); the resumable state is the predictor itself (its history
 //!   register and counter tables) plus the running mispredict tally.
-//! * [`BatchSession`] — N predictors in the records-outer /
-//!   predictors-inner schedule of [`crate::measure_batch`]; state is
-//!   the predictor batch plus one tally per configuration.
 //! * [`SlicedSession`] — up to [`MAX_LANES`]
 //!   gshare-family lanes, each a weakly-taken [`CounterTable`]
 //!   ([`crate::measure_sliced`]'s loop); state is the per-lane tables
@@ -20,24 +14,22 @@
 //!   history register** that must survive chunk boundaries for results
 //!   to stay bit-identical.
 //!
-//! The packed and batch sessions retire each branch with one
+//! The packed session retires each branch with one
 //! [`Predictor::retire`] call (predict with the record's target, then
 //! train, on a single lookup where the family supports it), which the
 //! trait contract makes equal to the scalar loop's `predict_with_target`
 //! followed by `update`.
 //!
 //! `feed` accepts any chunk of replayed [`PackedRecord`]s — a slice of
-//! a packed trace, a freshly streamed network chunk, a
-//! [`PackedTraceBuilder`](bpred_trace::PackedTraceBuilder) tail — and
+//! a packed trace or the records of one `repro serve` `FEED` — and
 //! chunk boundaries are *not observable*: feeding a trace in chunks of
 //! 1, 63, 64, 65, or all at once produces bit-identical results (the
 //! session property test drives every grammar spec through exactly
-//! those splits). The `measure_*` one-shots are thin wrappers that
-//! open a session, feed the whole trace, and finish.
+//! those splits). [`crate::measure_packed`] and
+//! [`crate::measure_sliced`] open a session, feed the whole trace, and
+//! finish; the streaming service feeds one chunk per `FEED`.
 //!
-//! `checkpoint` reads the results accumulated so far without
-//! disturbing the session — the live-metrics surface of the serving
-//! path. `finish` consumes the session, records the engine drive in
+//! `finish` consumes the session, records the engine drive in
 //! [`crate::metrics`] (busy time is the sum of `feed` times, so
 //! throughput accounting matches the one-shot paths), and returns the
 //! final results.
@@ -146,16 +138,6 @@ where
         self.busy += started.elapsed();
     }
 
-    /// The result over everything fed so far, without disturbing the
-    /// session.
-    #[must_use]
-    pub fn checkpoint(&self) -> RunResult {
-        RunResult {
-            branches: self.branches,
-            mispredictions: self.mispredictions,
-        }
-    }
-
     /// Closes the session: records the engine drive (one lane, busy
     /// time summed over every `feed`) and returns the final result.
     #[must_use]
@@ -165,82 +147,6 @@ where
             branches: self.branches,
             mispredictions: self.mispredictions,
         }
-    }
-}
-
-/// Incremental form of the batched engine: N independent predictors
-/// advanced records-outer / predictors-inner, exactly the schedule of
-/// [`crate::measure_batch`].
-///
-/// `B` may be `&mut [P]` (borrowing wrapper) or `Vec<P>` (owning
-/// session); homogeneous batches monomorphise the inner loop just like
-/// the one-shot path.
-#[derive(Debug)]
-pub struct BatchSession<B, P> {
-    batch: B,
-    missed: Vec<u64>,
-    branches: u64,
-    busy: Duration,
-    _predictor: PhantomData<fn() -> *const P>,
-}
-
-impl<P, B> BatchSession<B, P>
-where
-    P: Predictor,
-    B: AsMut<[P]>,
-{
-    /// Opens a session over a predictor batch; each predictor resumes
-    /// from whatever state it holds (normally power-on fresh).
-    pub fn new(mut batch: B) -> Self {
-        let configs = batch.as_mut().len();
-        Self {
-            batch,
-            missed: vec![0; configs],
-            branches: 0,
-            busy: Duration::ZERO,
-            _predictor: PhantomData,
-        }
-    }
-
-    /// Feeds one chunk of replayed records to every predictor, in
-    /// program order.
-    pub fn feed<I>(&mut self, chunk: I)
-    where
-        I: IntoIterator<Item = PackedRecord>,
-    {
-        let started = Instant::now();
-        let predictors = self.batch.as_mut();
-        for r in chunk {
-            let (pc, target, taken) = (r.pc, r.target(), r.taken);
-            for (predictor, missed) in predictors.iter_mut().zip(&mut self.missed) {
-                *missed += u64::from(predictor.retire(pc, Some(target), taken) != taken);
-            }
-            self.branches += 1;
-        }
-        self.busy += started.elapsed();
-    }
-
-    /// Per-configuration results over everything fed so far, without
-    /// disturbing the session.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<RunResult> {
-        self.missed
-            .iter()
-            .map(|&mispredictions| RunResult {
-                branches: self.branches,
-                mispredictions,
-            })
-            .collect()
-    }
-
-    /// Closes the session: records the engine drive (branches ×
-    /// configurations retired, busy time summed over every `feed`) and
-    /// returns the final per-configuration results in input order.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<RunResult> {
-        let configs = self.batch.as_mut().len() as u64;
-        metrics::record_engine_drive(Engine::Batch, self.branches * configs, configs, self.busy);
-        self.checkpoint()
     }
 }
 
@@ -330,19 +236,6 @@ impl SlicedSession {
         self.busy += started.elapsed();
     }
 
-    /// Per-lane results over everything fed so far, without disturbing
-    /// the session.
-    #[must_use]
-    pub fn checkpoint(&self) -> Vec<RunResult> {
-        self.missed
-            .iter()
-            .map(|&mispredictions| RunResult {
-                branches: self.branches,
-                mispredictions,
-            })
-            .collect()
-    }
-
     /// Closes the session: records the engine drive (branches × lanes
     /// retired, busy time summed over every `feed`) and returns the
     /// final per-lane results in input order.
@@ -350,14 +243,20 @@ impl SlicedSession {
     pub fn finish(self) -> Vec<RunResult> {
         let lanes = self.tables.len() as u64;
         metrics::record_engine_drive(Engine::Sliced, self.branches * lanes, lanes, self.busy);
-        self.checkpoint()
+        self.missed
+            .into_iter()
+            .map(|mispredictions| RunResult {
+                branches: self.branches,
+                mispredictions,
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{measure_batch, measure_packed};
+    use crate::batch::measure_packed;
     use crate::sliced::measure_sliced;
     use bpred_core::{Gshare, PredictorSpec};
     use bpred_trace::{BranchRecord, PackedTrace, Trace};
@@ -404,24 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_session_is_chunking_invariant() {
-        let packed = lcg_packed(11, 4500, 31);
-        let mut reference = [Gshare::new(8, 8), Gshare::new(8, 2), Gshare::new(5, 0)];
-        let want = measure_batch(&packed, &mut reference);
-        for chunk in [1usize, 64, 65, 4096, 4097] {
-            let mut session = BatchSession::new(vec![
-                Gshare::new(8, 8),
-                Gshare::new(8, 2),
-                Gshare::new(5, 0),
-            ]);
-            feed_in_chunks(packed.len(), chunk, |s, e| {
-                session.feed((s..e).map(|i| packed.record(i)));
-            });
-            assert_eq!(session.finish(), want, "chunk {chunk}");
-        }
-    }
-
-    #[test]
     fn sliced_session_history_survives_chunk_boundaries() {
         let packed = lcg_packed(13, 2000, 17);
         let lanes: Vec<LaneSpec> = (0..8u32)
@@ -436,53 +317,38 @@ mod tests {
             feed_in_chunks(packed.len(), chunk, |s, e| {
                 session.feed((s..e).map(|i| packed.record(i)));
             });
-            // The explicit checkpoint state: an n-record prefix leaves
-            // the low bits of the shared register holding the last
-            // outcomes, exactly like a per-predictor register would.
+            // The shared register carries across chunks: an n-record
+            // prefix leaves its low bits holding the last outcomes,
+            // exactly like a per-predictor register would.
             assert_eq!(session.finish(), want, "chunk {chunk}");
         }
     }
 
     #[test]
-    fn checkpoints_read_prefix_results_without_disturbing_the_stream() {
-        let packed = lcg_packed(17, 1000, 9);
-        let lanes = [LaneSpec {
-            table_bits: 6,
-            history_bits: 6,
-        }];
-        let mut session = SlicedSession::new(&lanes);
-        session.feed((0..500).map(|i| packed.record(i)));
-        let mid = session.checkpoint();
-        assert_eq!(mid[0].branches, 500);
-        // The checkpoint must equal a one-shot run over the prefix.
-        let mut prefix = Trace::new("prefix");
-        for i in 0..500 {
-            let r = packed.record(i);
-            prefix.push(BranchRecord::conditional(r.pc, r.target(), r.taken));
-        }
-        let prefix = PackedTrace::build(&prefix).expect("builds");
-        assert_eq!(mid, measure_sliced(&prefix, &lanes));
-        // ... and reading it must not perturb the rest of the stream.
-        session.feed((500..packed.len()).map(|i| packed.record(i)));
-        assert_eq!(session.finish(), measure_sliced(&packed, &lanes));
-    }
-
-    #[test]
     fn sessions_record_engine_drives_on_finish() {
         let packed = lcg_packed(23, 600, 7);
+        let lanes = [5, 0].map(|history_bits| LaneSpec {
+            table_bits: 5,
+            history_bits,
+        });
         let before = metrics::engine_snapshot();
-        let mut s = BatchSession::new(vec![Gshare::new(5, 5), Gshare::new(5, 0)]);
+        let mut s = SlicedSession::new(&lanes);
         s.feed(packed.records());
         let _ = s.finish();
-        let delta = metrics::engine_snapshot().since(&before).get(Engine::Batch);
-        assert!(delta.branches >= 1200, "got {delta:?}");
-        assert!(delta.lanes >= 2, "got {delta:?}");
+        let mut s = PackedSession::new(Gshare::new(5, 5));
+        s.feed(packed.records());
+        let _ = s.finish();
+        let delta = metrics::engine_snapshot().since(&before);
+        let sliced = delta.get(Engine::Sliced);
+        assert!(sliced.branches >= 1200, "got {delta:?}");
+        assert!(sliced.lanes >= 2, "got {delta:?}");
+        let packed = delta.get(Engine::Packed);
+        assert!(packed.branches >= 600, "got {delta:?}");
+        assert!(packed.lanes >= 1, "got {delta:?}");
     }
 
     #[test]
     fn empty_sessions_finish_cleanly() {
-        let session: BatchSession<Vec<Gshare>, Gshare> = BatchSession::new(Vec::new());
-        assert!(session.finish().is_empty());
         let session = SlicedSession::new(&[]);
         assert!(session.finish().is_empty());
         let mut session = PackedSession::new(Gshare::new(4, 4));

@@ -4,18 +4,18 @@
 //! streaming engine before — size 1 (every boundary), 63/64/65 (either
 //! side of the 64-bit shared-history register), and uneven tails.
 //!
-//! This is the contract that lets the harness sweep path and the
-//! `repro serve` streaming service share one store key space with the
-//! batch engines: a chunk boundary must never be observable in a
-//! result, so a digest computed from streamed chunks addresses exactly
-//! the result a whole-trace run would produce.
+//! This is the contract that lets the `repro serve` streaming service
+//! share one store key space with the whole-trace engines: a chunk
+//! boundary must never be observable in a result, so a digest computed
+//! from streamed chunks addresses exactly the result a whole-trace run
+//! would produce.
 
-use bpred_analysis::session::{BatchSession, PackedSession, SlicedSession};
+use bpred_analysis::session::{PackedSession, SlicedSession};
 use bpred_analysis::sliced::LaneSpec;
 use bpred_analysis::{measure_batch, measure_packed, measure_sliced, RunResult};
 use bpred_core::spec::GRAMMAR;
 use bpred_core::{Predictor, PredictorSpec};
-use bpred_trace::{BranchKind, BranchRecord, PackedTrace, Trace};
+use bpred_trace::{BranchRecord, PackedTrace, Trace};
 use proptest::prelude::*;
 
 /// One representative configuration per grammar name, with parameters
@@ -113,17 +113,24 @@ fn chunked_packed_sessions_match_one_shots_for_every_grammar_spec() {
 
 #[test]
 fn chunked_batch_sessions_match_the_one_shot_batch_for_the_whole_grammar() {
+    // The streaming service's per-spec sessions against one batch pass
+    // over every grammar spec at once.
     let (_, packed) = test_trace(43, 2477);
     let specs: Vec<PredictorSpec> = SPECS.iter().map(|s| s.parse().expect("parses")).collect();
-    let mut reference: Vec<Box<dyn Predictor>> = specs.iter().map(|s| s.build()).collect();
-    let want = measure_batch(&packed, &mut reference);
+    let mut batch: Vec<Box<dyn Predictor>> = specs.iter().map(|s| s.build()).collect();
+    let want = measure_batch(&packed, &mut batch);
     for &chunk in CHUNKS {
-        let batch: Vec<Box<dyn Predictor>> = specs.iter().map(|s| s.build()).collect();
-        let mut session = BatchSession::new(batch);
-        feed_in_chunks(packed.len(), chunk, |s, e| {
-            session.feed((s..e).map(|i| packed.record(i)));
-        });
-        assert_eq!(session.finish(), want, "chunk {chunk}");
+        let got: Vec<RunResult> = specs
+            .iter()
+            .map(|spec| {
+                let mut session = PackedSession::<_, dyn Predictor>::new(spec.build());
+                feed_in_chunks(packed.len(), chunk, |s, e| {
+                    session.feed((s..e).map(|i| packed.record(i)));
+                });
+                session.finish()
+            })
+            .collect();
+        assert_eq!(got, want, "chunk {chunk}");
     }
 }
 
@@ -142,34 +149,6 @@ fn chunked_sliced_sessions_match_the_one_shot_for_every_sliceable_spec() {
             session.feed((s..e).map(|i| packed.record(i)));
         });
         assert_eq!(session.finish(), want, "chunk {chunk}");
-    }
-}
-
-#[test]
-fn mid_stream_checkpoints_equal_prefix_one_shots() {
-    let (t, packed) = test_trace(53, 1200);
-    let spec: PredictorSpec = "bimode:d=5".parse().expect("parses");
-    let mut session = PackedSession::<_, dyn Predictor>::new(spec.build());
-    let mut fed = 0;
-    for chunk in [100usize, 64, 1, 300] {
-        let end = (fed + chunk).min(packed.len());
-        session.feed((fed..end).map(|i| packed.record(i)));
-        fed = end;
-        // A checkpoint must equal a one-shot over the conditional
-        // prefix the session has consumed so far.
-        let prefix: Trace = t
-            .records()
-            .iter()
-            .filter(|r| r.kind == BranchKind::Conditional)
-            .take(fed)
-            .cloned()
-            .collect();
-        let prefix = PackedTrace::build(&prefix).expect("builds");
-        assert_eq!(
-            session.checkpoint(),
-            measure_packed(&prefix, spec.build().as_mut()),
-            "after {fed} records"
-        );
     }
 }
 

@@ -13,8 +13,7 @@ pub const MAX_HISTORY_BITS: u32 = 63;
 /// fall off the top.
 ///
 /// Trace-driven simulation (as in the paper) updates the history with the
-/// architectural outcome at `push`. For pipeline studies the register also
-/// supports speculative update with checkpoint/repair.
+/// architectural outcome at `push`.
 ///
 /// ```
 /// use bpred_core::GlobalHistory;
@@ -29,13 +28,6 @@ pub const MAX_HISTORY_BITS: u32 = 63;
 pub struct GlobalHistory {
     value: u64,
     bits: u32,
-}
-
-/// A checkpoint of a [`GlobalHistory`], used to repair after a
-/// mispredicted speculative update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistoryCheckpoint {
-    value: u64,
 }
 
 impl GlobalHistory {
@@ -98,21 +90,6 @@ impl GlobalHistory {
             self.bits >= 63 || self.value < (1u64 << self.bits),
             "history register holds bits beyond its configured length"
         );
-    }
-
-    /// Takes a checkpoint for later [`repair`](Self::repair), then shifts in
-    /// a *predicted* outcome speculatively.
-    pub fn push_speculative(&mut self, predicted: bool) -> HistoryCheckpoint {
-        let cp = HistoryCheckpoint { value: self.value };
-        self.push(predicted);
-        cp
-    }
-
-    /// Restores the register to a checkpoint and shifts in the resolved
-    /// outcome, modelling history repair after a misprediction.
-    pub fn repair(&mut self, checkpoint: HistoryCheckpoint, resolved: bool) {
-        self.value = checkpoint.value;
-        self.push(resolved);
     }
 
     /// Clears the register to all not-taken.
@@ -257,32 +234,6 @@ mod tests {
         h.push(true);
         h.push(false);
         assert_eq!(h.to_string(), "NNTN");
-    }
-
-    #[test]
-    fn speculative_update_and_repair_roundtrip() {
-        let mut h = GlobalHistory::new(6);
-        h.push(true);
-        h.push(false);
-        let before = h;
-        // Speculate wrongly, then repair with the resolved outcome.
-        let cp = h.push_speculative(true);
-        assert_ne!(h, before);
-        h.repair(cp, false);
-        let mut expected = before;
-        expected.push(false);
-        assert_eq!(h, expected);
-    }
-
-    #[test]
-    fn speculative_update_matches_architectural_when_correct() {
-        let mut spec = GlobalHistory::new(8);
-        let mut arch = GlobalHistory::new(8);
-        for &t in &[true, false, false, true, true] {
-            let _ = spec.push_speculative(t);
-            arch.push(t);
-        }
-        assert_eq!(spec, arch);
     }
 
     #[test]

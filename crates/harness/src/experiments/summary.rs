@@ -81,16 +81,26 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
     let go = set.trace("go").expect("summary needs go"); // panic-audited: paper trace sets always include go; documented panic
     let bimode = |d| Rate::Plain(PredictorSpec::BiMode(BiModeConfig::paper_default(d)));
 
+    // gshare.best at the size above each bi-mode point checked below,
+    // and at 32 KB: one search per suite.
+    let ds = [9u32, 11, 13];
+    let sizes: Vec<u32> = ds.iter().map(|d| d + 1).chain([17]).collect();
+    let suites = [("SPEC", &spec), ("IBS", &ibs)].map(|(name, traces)| {
+        let best: Vec<f64> = best_gshare(traces, &sizes, jobs)
+            .iter()
+            .map(|b| b.average_rate)
+            .collect();
+        (name, traces, best)
+    });
+
     // -- Figure 2: bi-mode vs the next-smaller best gshare, per suite --
-    for (suite_name, traces) in [("SPEC", &spec), ("IBS", &ibs)] {
+    for (suite_name, traces, best) in &suites {
         let mut wins = 0;
         let mut detail = Vec::new();
-        let ds = [9u32, 11, 13];
         let points: Vec<Rate> = ds.iter().map(|&d| bimode(d)).collect();
         let rates = engine::cached_rates(traces, jobs, &points);
-        for (&d, rates) in ds.iter().zip(&rates) {
+        for ((&d, rates), &gs) in ds.iter().zip(&rates).zip(best) {
             let bm = engine::average(rates);
-            let gs = best_gshare(traces, d + 1, jobs).average_rate;
             wins += usize::from(bm <= gs * 1.01);
             detail.push(format!("d={d}: {} vs {}", pct(bm), pct(gs)));
         }
@@ -102,9 +112,9 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
     }
 
     // -- Figure 2: the half-the-size-at-4KB+ claim --
-    for (suite_name, traces) in [("SPEC", &spec), ("IBS", &ibs)] {
+    for (suite_name, traces, best) in &suites {
         let bm12 = engine::average(&engine::cached_rates(traces, jobs, &[bimode(14)])[0]);
-        let gs32 = best_gshare(traces, 17, jobs).average_rate;
+        let gs32 = best[ds.len()];
         board.check(
             &format!("Fig 2 ({suite_name}): bi-mode@12KB beats gshare.best@32KB"),
             format!("{} vs {}", pct(bm12), pct(gs32)),

@@ -15,7 +15,9 @@
 //! The workspace has no serde (offline, no new dependencies), so this
 //! module carries its own tiny JSON value type with an emitter and a
 //! recursive-descent parser — enough for the manifest schema and
-//! nothing more.
+//! nothing more. The parser takes untrusted files (`repro
+//! manifest-check`), so it is linear in the input and bounds its
+//! recursion at 64 levels of nesting.
 
 use std::fs;
 use std::io;
@@ -33,6 +35,11 @@ use crate::observe::StageStats;
 /// (branches, lanes, busy time and Mbranches/s per execution engine),
 /// whose branch/lane sums must equal the stage totals.
 pub const SCHEMA_VERSION: u64 = 3;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. A run
+/// manifest nests 5 levels deep and `BENCHMARK.json` 3; the bound keeps
+/// a file of nested brackets from overflowing the parser's stack.
+const MAX_DEPTH: usize = 64;
 
 /// A JSON value: the minimal tree the manifest needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,11 +161,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with a byte offset on malformed input.
+    /// Returns a message with a byte offset on malformed input or
+    /// nesting deeper than 64 levels.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -209,8 +219,11 @@ fn emit_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -252,11 +265,22 @@ impl Parser<'_> {
             Some(b't') => self.eat_literal("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_literal("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -306,6 +330,7 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
@@ -319,13 +344,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_owned())?;
-                    let c = rest.chars().next().ok_or_else(|| "empty".to_owned())?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash at
+                    // once: both are ASCII, so the run ends on a
+                    // character boundary of the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    s.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -1062,9 +1089,11 @@ mod tests {
         assert!(Json::parse(r#""\u12""#).is_err());
         assert!(Json::parse(r#""\u""#).is_err());
         assert!(Json::parse(r#""\u00zz""#).is_err());
+        // A sign is not a hex digit, though `from_str_radix` takes one.
+        assert!(Json::parse(r#""\u+041""#).is_err());
         // A valid \u escape still parses.
         assert_eq!(
-            Json::parse(r#""A""#).expect("valid escape").as_str(),
+            Json::parse(r#""\u0041""#).expect("valid escape").as_str(),
             Some("A")
         );
     }
@@ -1080,6 +1109,53 @@ mod tests {
             );
         }
         assert!(Json::parse(&text).is_ok());
+    }
+
+    #[test]
+    fn any_single_bit_flip_of_a_real_manifest_never_panics() {
+        let text = sample_manifest().to_json().emit();
+        assert!(Manifest::validate(&text, &["fig2", "table4"]).is_ok());
+        let mut bytes = text.into_bytes();
+        let mut still_text = 0;
+        for bit in 0..8 * bytes.len() {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(flipped) = std::str::from_utf8(&bytes) {
+                // `validate` parses first. Ok or Err are both fine; the
+                // property is that it returns.
+                still_text += 1;
+                let _ = Manifest::validate(flipped, &["fig2", "table4"]);
+            }
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        // The manifest is ASCII: every flip but the top bit's stays text.
+        assert_eq!(still_text, 7 * bytes.len());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Far past the bound, objects included: an error, not a stack
+        // overflow.
+        let deep = "{\"a\":[".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        assert!(Json::parse(&"[".repeat(400_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_whole() {
+        let run = "a".repeat(200_000);
+        let text = format!("{{\"run\": \"{run}\\n\u{e9}{run}\\u0041\"}}");
+        let doc = Json::parse(&text).expect("parses");
+        let want = format!("{run}\n\u{e9}{run}A");
+        assert_eq!(doc.get("run").and_then(Json::as_str), Some(want.as_str()));
+        assert!(Json::parse(&format!("\"{run}")).is_err(), "unterminated");
     }
 
     #[test]

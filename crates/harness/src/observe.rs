@@ -15,7 +15,7 @@
 
 use std::time::{Duration, Instant};
 
-use bpred_analysis::metrics::{self, DriveSnapshot, EngineSnapshot};
+use bpred_analysis::metrics::{self, EngineSnapshot};
 
 use crate::store::{self, StoreCounters};
 use crate::traces::{self, CacheCounters};
@@ -24,11 +24,8 @@ use crate::traces::{self, CacheCounters};
 /// observes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counters {
-    /// Branches-simulated / configs-driven counters, aggregated over
-    /// engines. Derived from `engines` (one atomic read), so the
-    /// engine breakdown always sums exactly to this total.
-    pub drive: DriveSnapshot,
-    /// The same drive counters broken down by execution engine.
+    /// Branches-simulated / lanes-retired counters, per execution
+    /// engine ([`EngineSnapshot::total`] aggregates them).
     pub engines: EngineSnapshot,
     /// Trace-cache hit/miss/pack counters.
     pub cache: CacheCounters,
@@ -39,10 +36,8 @@ pub struct Counters {
 /// Reads all observable counters at once.
 #[must_use]
 pub fn counters() -> Counters {
-    let engines = metrics::engine_snapshot();
     Counters {
-        drive: engines.total(),
-        engines,
+        engines: metrics::engine_snapshot(),
         cache: traces::cache_counters(),
         store: store::counters(),
     }
@@ -173,7 +168,7 @@ impl Observer {
             name: name.to_owned(),
             wall,
             branches: drive.branches,
-            configs: drive.configs,
+            configs: drive.lanes,
             engines,
             cache: after.cache.since(&before.cache),
             store: after.store.since(&before.store),
@@ -259,9 +254,14 @@ mod tests {
 
     #[test]
     fn total_sums_the_stages() {
+        use bpred_analysis::metrics::{record_engine_drive, Engine};
         let mut obs = Observer::new();
-        obs.stage("a", || bpred_analysis::metrics::record_drive(100, 1));
-        obs.stage("b", || bpred_analysis::metrics::record_drive(50, 2));
+        obs.stage("a", || {
+            record_engine_drive(Engine::Scalar, 100, 1, Duration::ZERO);
+        });
+        obs.stage("b", || {
+            record_engine_drive(Engine::Scalar, 50, 2, Duration::ZERO);
+        });
         let total = obs.total();
         assert_eq!(total.name, "total");
         assert!(total.branches >= 150);
@@ -299,7 +299,7 @@ mod tests {
         let stage = obs.last().expect("one stage recorded");
         let summed = stage.engines.total();
         assert_eq!(stage.branches, summed.branches);
-        assert_eq!(stage.configs, summed.configs);
+        assert_eq!(stage.configs, summed.lanes);
         assert!(stage.engines.get(Engine::Sliced).lanes >= 64);
         let note = stage.engine_note();
         assert!(note.contains("sliced"), "{note}");

@@ -8,8 +8,11 @@
 //! In the reproduction's gshare model a configuration at table size
 //! `2^s` is fully described by the history length `m <= s` (the
 //! remaining `s - m` index bits are address bits), so the pairwise grid
-//! collapses to a sweep over `m` — run as one batch over a single pass
-//! of each packed trace, not one trace walk per candidate.
+//! collapses to a sweep over `m`. [`best_gshare`] searches any number
+//! of table sizes at once: every candidate of every size goes through
+//! one [`engine::cached_rates`] call, so the sliced engine packs them
+//! into shared lane groups instead of walking each trace once per size.
+//! Figure 2's `gshare.best` curve and the summary's claims both use it.
 
 use bpred_core::PredictorSpec;
 use bpred_trace::PackedTrace;
@@ -32,43 +35,52 @@ pub struct BestGshare {
 }
 
 /// Exhaustively searches `m in 0..=s` for the best suite-average
-/// gshare at table size `2^s`. All candidates ride the sliced
-/// engine in 64-wide lane groups, one pass per (trace, group); `jobs`
-/// bounds the parallelism over the flattened work items.
+/// gshare at each table size `2^s` of `sizes`, returning one
+/// [`BestGshare`] per size, in the order given.
 ///
-/// # Panics
+/// All candidates of all sizes go through one [`engine::cached_rates`]
+/// call, in size then history order, so they ride the sliced engine in
+/// 64-wide lane groups, one pass per (trace, group); `jobs` bounds the
+/// parallelism over the flattened work items.
 ///
-/// Panics if `traces` is empty.
+/// Ties go to the shortest history: of the candidates with equal
+/// suite-average rates, the one with the smallest `m` wins.
 #[must_use]
-pub fn best_gshare(traces: &[&PackedTrace], table_bits: u32, jobs: Option<usize>) -> BestGshare {
-    assert!(!traces.is_empty(), "the search needs at least one trace");
-    let candidates: Vec<u32> = (0..=table_bits).collect();
-    let points: Vec<Rate> = candidates
+pub fn best_gshare(traces: &[&PackedTrace], sizes: &[u32], jobs: Option<usize>) -> Vec<BestGshare> {
+    let points: Vec<Rate> = sizes
         .iter()
-        .map(|&m| PredictorSpec::Gshare {
-            table_bits,
-            history_bits: m,
+        .flat_map(|&table_bits| {
+            (0..=table_bits).map(move |history_bits| {
+                Rate::Plain(PredictorSpec::Gshare {
+                    table_bits,
+                    history_bits,
+                })
+            })
         })
-        .map(Rate::Plain)
         .collect();
-    let rates = engine::cached_rates(traces, jobs, &points);
-    let results: Vec<(u32, f64, Vec<f64>)> = candidates
-        .into_iter()
-        .zip(rates)
-        .map(|(m, rates)| (m, engine::average(&rates), rates))
-        .collect();
-    let curve: Vec<(u32, f64)> = results.iter().map(|(m, avg, _)| (*m, *avg)).collect();
-    let (history_bits, average_rate, per_workload) = results
-        .into_iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("rates are finite")) // panic-audited: misprediction rates are finite ratios, never NaN
-        .expect("at least one candidate"); // panic-audited: the history-length candidate range is non-empty by construction
-    BestGshare {
-        table_bits,
-        history_bits,
-        average_rate,
-        per_workload,
-        curve,
-    }
+    let mut rates = engine::cached_rates(traces, jobs, &points).into_iter();
+    sizes
+        .iter()
+        .map(|&table_bits| {
+            let results: Vec<(u32, f64, Vec<f64>)> = (0..=table_bits)
+                .zip(rates.by_ref())
+                .map(|(m, rates)| (m, engine::average(&rates), rates))
+                .collect();
+            let curve: Vec<(u32, f64)> = results.iter().map(|(m, avg, _)| (*m, *avg)).collect();
+            // `min_by` keeps the first of equal minima: the shortest history.
+            let (history_bits, average_rate, per_workload) = results
+                .into_iter()
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("rates are finite")) // panic-audited: misprediction rates are finite ratios, never NaN
+                .expect("at least one candidate"); // panic-audited: the history-length candidate range 0..=s is never empty
+            BestGshare {
+                table_bits,
+                history_bits,
+                average_rate,
+                per_workload,
+                curve,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -110,7 +122,7 @@ mod tests {
     #[test]
     fn search_prefers_history_when_correlation_pays() {
         let t = correlated_trace();
-        let best = best_gshare(&[&t], 8, Some(2));
+        let best = best_gshare(&[&t], &[8], Some(2)).remove(0);
         assert!(
             best.history_bits >= 3,
             "expected history to win, got m={}",
@@ -123,15 +135,28 @@ mod tests {
     fn search_prefers_address_bits_under_aliasing_pressure() {
         let t = alias_heavy_trace();
         // Tiny table: 16 counters for 16 opposite-biased branches.
-        let best = best_gshare(&[&t], 4, Some(2));
+        let best = best_gshare(&[&t], &[4], Some(2)).remove(0);
         assert_eq!(best.history_bits, 0, "pure per-address indexing should win");
         assert!(best.average_rate < 0.01);
     }
 
     #[test]
+    fn ties_go_to_the_shortest_history() {
+        // One always-taken branch: every history length predicts it
+        // perfectly, so all candidates tie and m = 0 must win.
+        let t: Trace = (0..500)
+            .map(|_| BranchRecord::conditional(0x1000, 0, true))
+            .collect();
+        let t = PackedTrace::build(&t).expect("one site");
+        let best = best_gshare(&[&t], &[6], None).remove(0);
+        assert!(best.curve.iter().all(|&(_, r)| r == best.average_rate));
+        assert_eq!(best.history_bits, 0);
+    }
+
+    #[test]
     fn curve_covers_all_candidates_and_contains_winner() {
         let t = correlated_trace();
-        let best = best_gshare(&[&t], 6, None);
+        let best = best_gshare(&[&t], &[6], None).remove(0);
         assert_eq!(best.curve.len(), 7);
         let curve_min = best
             .curve
@@ -146,7 +171,7 @@ mod tests {
     fn averages_over_multiple_traces() {
         let a = correlated_trace();
         let b = alias_heavy_trace();
-        let best = best_gshare(&[&a, &b], 8, None);
+        let best = best_gshare(&[&a, &b], &[8], None).remove(0);
         assert_eq!(best.per_workload.len(), 2);
         let avg = best.per_workload.iter().sum::<f64>() / 2.0;
         assert!((avg - best.average_rate).abs() < 1e-12);
@@ -155,7 +180,7 @@ mod tests {
     #[test]
     fn batched_rates_match_the_scalar_helper() {
         let source = correlated_source();
-        let best = best_gshare(&[&correlated_trace()], 8, Some(2));
+        let best = best_gshare(&[&correlated_trace()], &[8], Some(2)).remove(0);
         let mut winner = bpred_core::Gshare::new(8, best.history_bits);
         let want = bpred_analysis::measure(&source, &mut winner).misprediction_rate();
         assert_eq!(best.per_workload, [want]);

@@ -31,6 +31,11 @@
 //! S: ERR <message>                        digest mismatch etc.; nothing stored
 //! ```
 //!
+//! A protocol violation — a line longer than 4 KiB, a malformed or
+//! oversized `FEED`, anything but `FEED`/`DONE` mid-stream
+//! — is answered `ERR <message>` and closes the connection; the stream
+//! in flight is dropped and nothing is stored.
+//!
 //! `STATS` returns a live line-protocol snapshot (`<key> <value>` per
 //! line, terminated by `END`) of the PR 3/PR 6 metrics counters —
 //! uptime, connections, branches/s, store hits, per-engine drive
@@ -94,6 +99,12 @@ pub const WIRE_RECORD_BYTES: usize = 18;
 /// Upper bound on records per `FEED` chunk, bounding per-chunk
 /// allocation on the server.
 const MAX_FEED_RECORDS: usize = 1 << 20;
+
+/// Longest command or `FEED` line the server reads, newline included.
+/// The longest legal line is a `PREDICT` with a spec and a 16-digit hex
+/// digest; a longer one is answered `ERR` and the connection closed,
+/// so a client that never sends a newline cannot grow a buffer.
+const MAX_LINE_BYTES: usize = 4096;
 
 /// Socket read timeout: a stalled peer cannot pin a reader forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(60);
@@ -565,15 +576,27 @@ fn handle_connection(stream: TcpStream, tenant: u64, shared: &Shared) -> io::Res
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(()); // client closed
+    let served = serve_commands(&mut reader, &mut writer, tenant, shared);
+    if let Err(e) = &served {
+        if e.kind() == io::ErrorKind::InvalidData {
+            // A protocol violation closes the connection; say why first.
+            let _ = writeln!(writer, "ERR {e}");
         }
+    }
+    served
+}
+
+fn serve_commands(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    tenant: u64,
+    shared: &Shared,
+) -> io::Result<()> {
+    while let Some(line) = read_line_bounded(reader)? {
         let parts: Vec<&str> = line.split_whitespace().collect();
         match parts.as_slice() {
             ["PREDICT", spec, digest] => {
-                handle_predict(spec, digest, tenant, &mut reader, &mut writer, shared)?;
+                handle_predict(spec, digest, tenant, reader, writer, shared)?;
             }
             ["STATS"] => writer.write_all(stats_text(shared).as_bytes())?,
             ["SHUTDOWN"] => {
@@ -587,6 +610,27 @@ fn handle_connection(stream: TcpStream, tenant: u64, shared: &Shared) -> io::Res
             _ => writeln!(writer, "ERR unknown command `{}`", line.trim())?,
         }
     }
+    Ok(()) // client closed
+}
+
+/// Reads one protocol line of at most [`MAX_LINE_BYTES`] bytes: `None`
+/// at end of input, an [`io::ErrorKind::InvalidData`] error for a
+/// longer line or one that is not UTF-8.
+fn read_line_bounded(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', &mut line)?;
+    if line.is_empty() {
+        return Ok(None);
+    }
+    if line.len() == MAX_LINE_BYTES && !line.ends_with(b"\n") {
+        return Err(invalid(format!("line longer than {MAX_LINE_BYTES} bytes")));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| invalid("line is not UTF-8"))
 }
 
 fn handle_predict(
@@ -638,13 +682,9 @@ fn stream_chunks(
     shared: &Shared,
 ) -> io::Result<Result<RunResult, String>> {
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "client closed mid-stream",
-            ));
-        }
+        let line = read_line_bounded(reader)?.ok_or_else(|| {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "client closed mid-stream")
+        })?;
         let parts: Vec<&str> = line.split_whitespace().collect();
         match parts.as_slice() {
             ["FEED", count] => {
@@ -1184,6 +1224,122 @@ mod tests {
             None,
             "a mismatched stream must never publish"
         );
+    }
+
+    /// A seed no earlier run can have used (the store outlives test
+    /// processes, and process ids repeat), so a stream of its trace
+    /// always misses the store.
+    fn fresh_seed(tag: u64) -> u64 {
+        let now = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+        unique_seed(tag) ^ now.map_or(0, |d| d.as_nanos() as u64)
+    }
+
+    /// Opens a stream of `trace` under `spec` on a fresh connection and
+    /// returns it once the server has answered `SEND`.
+    fn open_stream(
+        addr: &str,
+        spec: &PredictorSpec,
+        trace: &Trace,
+    ) -> (BufReader<TcpStream>, TcpStream) {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        writeln!(writer, "PREDICT {spec} {:016x}", trace.digest()).expect("send");
+        assert_eq!(read_reply_line(&mut reader).expect("reply"), "SEND");
+        (reader, writer)
+    }
+
+    /// After a refused or abandoned stream of `trace`, nothing is stored
+    /// for it and the (single) shard still measures a new connection's
+    /// stream of the same trace.
+    fn shard_serves_after_an_abandoned_stream(
+        addr: &str,
+        spec: &PredictorSpec,
+        trace: &Trace,
+        handle: std::thread::JoinHandle<io::Result<ServeSummary>>,
+    ) {
+        let again = client_run(addr, spec, trace).expect("a new connection is served");
+        assert!(!again.store_served, "the abandoned stream stored nothing");
+        assert_eq!(again.result, local_reference(trace, spec));
+        client_shutdown(addr).expect("shutdown");
+        let summary = handle.join().expect("server thread").expect("clean exit");
+        assert_eq!(summary.streams_finished, 1, "got {summary:?}");
+    }
+
+    #[test]
+    fn a_feed_above_the_record_cap_is_refused_and_the_shard_keeps_serving() {
+        let (addr, handle) = start_server(1);
+        let spec: PredictorSpec = "gshare:s=6,h=4".parse().expect("parses");
+        let trace = lcg_trace("over-cap", fresh_seed(0xCA9), 900);
+        let (mut reader, mut writer) = open_stream(&addr, &spec, &trace);
+        writeln!(writer, "FEED {}", MAX_FEED_RECORDS + 1).expect("send");
+        let line = read_reply_line(&mut reader).expect("reply");
+        assert!(
+            line.starts_with("ERR") && line.contains(&MAX_FEED_RECORDS.to_string()),
+            "got `{line}`"
+        );
+        assert!(
+            read_reply_line(&mut reader).is_err(),
+            "the connection closes"
+        );
+        shard_serves_after_an_abandoned_stream(&addr, &spec, &trace, handle);
+    }
+
+    #[test]
+    fn a_client_that_disconnects_mid_feed_stores_nothing() {
+        let (addr, handle) = start_server(1);
+        let spec: PredictorSpec = "bimode:d=5".parse().expect("parses");
+        let trace = lcg_trace("mid-feed", fresh_seed(0xD15C), 900);
+        let (reader, mut writer) = open_stream(&addr, &spec, &trace);
+        let records = trace.records();
+        writeln!(writer, "FEED {}", records.len()).expect("send");
+        let bytes = encode_records(records);
+        writer.write_all(&bytes[..bytes.len() / 2]).expect("send");
+        drop(writer);
+        drop(reader);
+        shard_serves_after_an_abandoned_stream(&addr, &spec, &trace, handle);
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_and_the_connection_closes() {
+        let (addr, handle) = start_server(1);
+        let spec: PredictorSpec = "bimodal:s=6".parse().expect("parses");
+        let trace = lcg_trace("over-long", fresh_seed(0x10E6), 900);
+        let (mut reader, mut writer) = open_stream(&addr, &spec, &trace);
+        // A FEED line padded to the bound with no newline: the server
+        // reads exactly what was sent and refuses it.
+        let line = format!("{:<width$}", "FEED 1", width = MAX_LINE_BYTES);
+        writer.write_all(line.as_bytes()).expect("send");
+        let reply = read_reply_line(&mut reader).expect("reply");
+        assert_eq!(
+            reply,
+            format!("ERR line longer than {MAX_LINE_BYTES} bytes")
+        );
+        assert!(
+            read_reply_line(&mut reader).is_err(),
+            "the connection closes"
+        );
+        shard_serves_after_an_abandoned_stream(&addr, &spec, &trace, handle);
+    }
+
+    #[test]
+    fn lines_up_to_the_bound_are_read_whole() {
+        let fits = format!("{:<width$}\n", "STATS", width = MAX_LINE_BYTES - 1);
+        let mut reader = io::Cursor::new(fits.clone() + "DONE");
+        assert_eq!(read_line_bounded(&mut reader).expect("fits"), Some(fits));
+        assert_eq!(
+            read_line_bounded(&mut reader).expect("tail"),
+            Some("DONE".to_owned())
+        );
+        assert_eq!(read_line_bounded(&mut reader).expect("end"), None);
+        let over = "x".repeat(MAX_LINE_BYTES + 1);
+        let err = read_line_bounded(&mut io::Cursor::new(over)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let bad = read_line_bounded(&mut io::Cursor::new(b"\xff\n".to_vec())).unwrap_err();
+        assert_eq!(bad.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

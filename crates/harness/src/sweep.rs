@@ -6,18 +6,19 @@
 //! an equal-size choice table), reproducing the staggered positions of
 //! the paper's plots.
 //!
-//! Every scheme's whole ladder — for `gshare.best`, every `(s, m)`
-//! candidate of every ladder size at once — rides
-//! [`engine::cached_rates`]: gshare-family ladders are packed into
-//! 64-lane groups for the sliced engine, bi-mode falls back to one
-//! batch pass per trace, and every (trace, group) pass is sharded
-//! across threads. Work accounting is global (see
+//! Every scheme's whole ladder rides one [`engine::cached_rates`] call:
+//! gshare-family ladders are packed into 64-lane groups for the sliced
+//! engine, bi-mode falls back to one batch pass per trace, and every
+//! (trace, group) pass is sharded across threads. `gshare.best` is
+//! [`search::best_gshare`] over the whole ladder, so its 116 `(s, m)`
+//! candidates share that one call. Work accounting is global (see
 //! [`crate::observe`]); the sweeps return points only.
 
 use bpred_core::{BiMode, BiModeConfig, Gshare, Predictor, PredictorSpec};
 use bpred_trace::PackedTrace;
 
 use crate::engine::{self, Rate};
+use crate::search;
 
 /// The schemes compared in Figures 2–4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,34 +107,12 @@ pub fn sweep_scheme(
                 .collect()
         }
         Scheme::GshareBest => {
-            // Every (s, m <= s) candidate of every ladder size, fused
-            // into one single-pass batch; the per-size winner is picked
-            // afterwards (last minimum, matching `search::best_gshare`).
-            let pairs: Vec<(u32, u32)> = GSHARE_SIZES
-                .flat_map(|s| (0..=s).map(move |m| (s, m)))
-                .collect();
-            let points: Vec<Rate> = pairs
-                .iter()
-                .map(|&(s, m)| PredictorSpec::Gshare {
-                    table_bits: s,
-                    history_bits: m,
-                })
-                .map(Rate::Plain)
-                .collect();
-            let rates = engine::cached_rates(traces, jobs, &points);
-            GSHARE_SIZES
-                .map(|s| {
-                    let (&(_, m), rates) = pairs
-                        .iter()
-                        .zip(&rates)
-                        .filter(|(&(ps, _), _)| ps == s)
-                        .min_by(|a, b| {
-                            engine::average(a.1)
-                                .partial_cmp(&engine::average(b.1))
-                                .expect("rates are finite") // panic-audited: misprediction rates are finite ratios, never NaN
-                        })
-                        .expect("every ladder size has candidates"); // panic-audited: every ladder size carries at least the m = s candidate
-                    point(scheme, &Gshare::new(s, m), rates.clone())
+            let sizes: Vec<u32> = GSHARE_SIZES.collect();
+            search::best_gshare(traces, &sizes, jobs)
+                .into_iter()
+                .map(|best| {
+                    let winner = Gshare::new(best.table_bits, best.history_bits);
+                    point(scheme, &winner, best.per_workload)
                 })
                 .collect()
         }
@@ -218,18 +197,25 @@ mod tests {
     #[test]
     fn fused_best_matches_the_per_size_search() {
         let t = packed();
+        let sizes: Vec<u32> = GSHARE_SIZES.collect();
+        let fused = search::best_gshare(&[&t], &sizes, Some(2));
         let best = sweep_scheme(&[&t], Scheme::GshareBest, Some(2));
-        for (point, s) in best.iter().zip(GSHARE_SIZES) {
-            let search = crate::search::best_gshare(&[&t], s, Some(2));
-            assert_eq!(point.config, Gshare::new(s, search.history_bits).name());
-            assert_eq!(point.rates, search.per_workload, "size {s}");
+        assert_eq!((fused.len(), best.len()), (sizes.len(), sizes.len()));
+        for ((point, multi), s) in best.iter().zip(&fused).zip(GSHARE_SIZES) {
+            let single = search::best_gshare(&[&t], &[s], Some(2)).remove(0);
+            assert_eq!(multi.table_bits, s);
+            assert_eq!(multi.history_bits, single.history_bits, "size {s}");
+            assert_eq!(multi.per_workload, single.per_workload, "size {s}");
+            assert_eq!(multi.curve, single.curve, "size {s}");
+            assert_eq!(point.config, Gshare::new(s, single.history_bits).name());
+            assert_eq!(point.rates, single.per_workload, "size {s}");
         }
     }
 
     #[test]
     fn sweep_all_produces_three_curves_and_accounts_every_point() {
         let t = packed();
-        let drive_before = bpred_analysis::metrics::snapshot();
+        let drive_before = bpred_analysis::metrics::engine_snapshot();
         let store_before = crate::store::counters();
         let all = sweep_all(&[&t], Some(2));
         assert_eq!(all.len(), 24);
@@ -241,10 +227,12 @@ mod tests {
         // config drive) or served from the result store (recorded as a
         // hit) — other tests may add more concurrently, and earlier
         // runs sharing the on-disk store may have warmed any subset.
-        let drives = bpred_analysis::metrics::snapshot().since(&drive_before);
+        let drives = bpred_analysis::metrics::engine_snapshot()
+            .since(&drive_before)
+            .total();
         let store = crate::store::counters().since(&store_before);
         assert!(
-            drives.configs + store.hits >= 8 + 116 + 8,
+            drives.lanes + store.hits >= 8 + 116 + 8,
             "got {drives:?} + {store:?}"
         );
     }

@@ -1,5 +1,4 @@
-//! Trace persistence: a compact little-endian binary format and a
-//! line-oriented text format.
+//! Trace persistence: a compact little-endian binary format.
 //!
 //! Binary layout (version 1):
 //!
@@ -12,22 +11,18 @@
 //!           flags bit 0 = taken, bits 1..4 = kind tag
 //! ```
 //!
-//! [`write_binary`] encodes a whole [`Trace`]. [`stream_binary`]
-//! decodes record by record and [`read_binary`] collects that stream.
-//! The decoder takes the count as a claim to check, not a size: nothing
-//! is allocated from it, a file that ends early is truncated, and bytes
-//! after the last counted record are trailing garbage. Both are
-//! [`CodecError::Malformed`], so any change to the count field fails to
-//! decode.
+//! [`write_binary`] encodes a whole [`Trace`] and [`read_binary`]
+//! decodes one record at a time. The decoder takes the count as a claim
+//! to check, not a size: nothing is allocated from it, a file that ends
+//! early is truncated, and bytes after the last counted record are
+//! trailing garbage. Both are [`CodecError::Malformed`], so any change
+//! to the count field fails to decode.
 //!
 //! The harness's trace cache does not use this format: it stores the
 //! packed columns ([`PackedTrace::write_to`](crate::PackedTrace::write_to)).
-//!
-//! Text format: a `# trace: <name>` header line, then one record per
-//! line: `<pc-hex> <target-hex> <T|N> <kind>`.
 
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 
 use crate::record::{BranchKind, BranchRecord};
 use crate::trace::Trace;
@@ -103,138 +98,20 @@ pub fn write_binary<W: Write>(trace: &Trace, mut writer: W) -> Result<(), CodecE
     Ok(())
 }
 
-/// Reads a trace in the binary format: [`stream_binary`], collected.
+/// Reads a trace in the binary format, one record at a time: the
+/// header's count only bounds the loop, so a lying count allocates
+/// nothing, and the input must end exactly after the last counted
+/// record.
 ///
 /// A `&mut` reference can be passed for `reader`.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::Io`] on read failure and
-/// [`CodecError::Malformed`] when the bytes are not a valid trace.
-pub fn read_binary<R: Read>(reader: R) -> Result<Trace, CodecError> {
-    let stream = stream_binary(reader)?;
-    let name = stream.name().to_owned();
-    let records = stream.collect::<Result<Vec<_>, _>>()?;
-    Ok(Trace::from_records(name, records))
-}
-
-/// Writes a trace in the human-readable text format.
-///
-/// A `&mut` reference can be passed for `writer`.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Io`] on write failure.
-pub fn write_text<W: Write>(trace: &Trace, mut writer: W) -> Result<(), CodecError> {
-    writeln!(writer, "# trace: {}", trace.name())?;
-    for r in trace.iter() {
-        writeln!(
-            writer,
-            "{:x} {:x} {} {}",
-            r.pc,
-            r.target,
-            if r.taken { "T" } else { "N" },
-            r.kind
-        )?;
-    }
-    Ok(())
-}
-
-/// Reads a trace in the text format.
-///
-/// A `&mut` reference can be passed for `reader`.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Io`] on read failure and
-/// [`CodecError::Malformed`] on syntax errors.
-pub fn read_text<R: BufRead>(reader: R) -> Result<Trace, CodecError> {
-    let mut trace = Trace::new("");
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            if let Some(name) = rest.trim().strip_prefix("trace:") {
-                trace.set_name(name.trim());
-            }
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let err = |what: &str| malformed(format!("line {}: {what}", lineno + 1));
-        let pc = u64::from_str_radix(parts.next().ok_or_else(|| err("missing pc"))?, 16)
-            .map_err(|_| err("bad pc"))?;
-        let target = u64::from_str_radix(parts.next().ok_or_else(|| err("missing target"))?, 16)
-            .map_err(|_| err("bad target"))?;
-        let taken = match parts.next().ok_or_else(|| err("missing direction"))? {
-            "T" => true,
-            "N" => false,
-            other => return Err(err(&format!("bad direction `{other}`"))),
-        };
-        let kind = match parts.next().ok_or_else(|| err("missing kind"))? {
-            "cond" => BranchKind::Conditional,
-            "jump" => BranchKind::Unconditional,
-            "call" => BranchKind::Call,
-            "ret" => BranchKind::Return,
-            "ijmp" => BranchKind::Indirect,
-            other => return Err(err(&format!("bad kind `{other}`"))),
-        };
-        trace.push(BranchRecord {
-            pc,
-            target,
-            taken,
-            kind,
-        });
-    }
-    Ok(trace)
-}
-
-/// A streaming reader over a binary trace: yields records one at a
-/// time without materialising the whole trace in memory — the way to
-/// consume `--scale full` traces from disk.
-///
-/// Construct with [`stream_binary`]; iterate to get
-/// `Result<BranchRecord, CodecError>` items. The trace name is
-/// available from [`BinaryStream::name`] after construction. After the
-/// last counted record the stream checks that the input ends there: a
-/// trailing byte yields one final [`CodecError::Malformed`]. The first
-/// error ends the stream.
-#[derive(Debug)]
-pub struct BinaryStream<R> {
-    reader: R,
-    name: String,
-    remaining: u64,
-    index: u64,
-    done: bool,
-}
-
-impl<R: Read> BinaryStream<R> {
-    /// The trace's provenance name from the header.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Records the header says are left to read.
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-}
-
-/// Opens a binary trace for streaming: reads and validates the header,
-/// then returns an iterator over the records.
-///
-/// A `&mut` reference can be passed for `reader`.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Io`] on read failure and
-/// [`CodecError::Malformed`] if the header is not a valid trace
-/// header.
-pub fn stream_binary<R: Read>(mut reader: R) -> Result<BinaryStream<R>, CodecError> {
+/// Returns [`CodecError::Io`] on read failure (a header that ends
+/// early included) and [`CodecError::Malformed`] when the bytes are
+/// not a valid trace: a bad magic, version, name length or kind tag,
+/// fewer records than counted, or bytes after the last one.
+pub fn read_binary<R: Read>(mut reader: R) -> Result<Trace, CodecError> {
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -256,73 +133,29 @@ pub fn stream_binary<R: Read>(mut reader: R) -> Result<BinaryStream<R>, CodecErr
     let name = String::from_utf8(name).map_err(|_| malformed("name is not UTF-8"))?;
     let mut len8 = [0u8; 8];
     reader.read_exact(&mut len8)?;
-    Ok(BinaryStream {
-        reader,
-        name,
-        remaining: u64::from_le_bytes(len8),
-        index: 0,
-        done: false,
-    })
-}
-
-impl<R: Read> Iterator for BinaryStream<R> {
-    type Item = Result<BranchRecord, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if self.remaining == 0 {
-            self.done = true;
-            return match self.reader.read_exact(&mut [0u8; 1]) {
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => None,
-                Err(e) => Some(Err(e.into())),
-                Ok(()) => Some(Err(malformed(format!(
-                    "trailing bytes after record {}",
-                    self.index
-                )))),
-            };
-        }
-        let mut rec = [0u8; RECORD_BYTES];
-        if let Err(e) = self.reader.read_exact(&mut rec) {
-            self.done = true;
-            return Some(Err(malformed(format!(
-                "truncated at record {}: {e}",
-                self.index
-            ))));
-        }
-        self.remaining -= 1;
-        self.index += 1;
+    let count = u64::from_le_bytes(len8);
+    let mut trace = Trace::new(name);
+    let mut rec = [0u8; RECORD_BYTES];
+    for index in 0..count {
+        reader
+            .read_exact(&mut rec)
+            .map_err(|e| malformed(format!("truncated at record {index}: {e}")))?;
         let pc = u64::from_le_bytes(rec[0..8].try_into().expect("slice is 8 bytes")); // panic-audited: try_into of a fixed 8-byte subslice cannot fail
         let target = u64::from_le_bytes(rec[8..16].try_into().expect("slice is 8 bytes")); // panic-audited: try_into of a fixed 8-byte subslice cannot fail
         let flags = rec[16];
-        let taken = flags & 1 == 1;
-        match BranchKind::from_tag(flags >> 1) {
-            Some(kind) => Some(Ok(BranchRecord {
-                pc,
-                target,
-                taken,
-                kind,
-            })),
-            None => {
-                self.done = true;
-                Some(Err(malformed(format!("bad kind tag {}", flags >> 1))))
-            }
-        }
+        let kind = BranchKind::from_tag(flags >> 1)
+            .ok_or_else(|| malformed(format!("bad kind tag {}", flags >> 1)))?;
+        trace.push(BranchRecord {
+            pc,
+            target,
+            taken: flags & 1 == 1,
+            kind,
+        });
     }
-
-    /// The header's count is a claim, not a size, so the lower bound is
-    /// 0. The upper bound is the records it claims plus the end-of-input
-    /// check's possible trailing-bytes error.
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.done {
-            (0, Some(0))
-        } else {
-            let upper = usize::try_from(self.remaining)
-                .ok()
-                .and_then(|n| n.checked_add(1));
-            (0, upper)
-        }
+    match reader.read_exact(&mut [0u8; 1]) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(trace),
+        Err(e) => Err(e.into()),
+        Ok(()) => Err(malformed(format!("trailing bytes after record {count}"))),
     }
 }
 
@@ -370,57 +203,64 @@ mod tests {
         4 + 1 + 4 + t.name().len()
     }
 
+    /// A reader that hands out one byte per call, like a slow socket.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&byte, rest)), Some(slot)) => {
+                    *slot = byte;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
     #[test]
     fn streaming_matches_bulk_read() {
         let t = sample();
         let buf = encoded(&t);
-        let stream = stream_binary(Cursor::new(&buf)).unwrap();
-        assert_eq!(stream.name(), "roundtrip");
-        assert_eq!(stream.remaining(), t.len() as u64);
-        let records: Vec<BranchRecord> = stream.map(|r| r.expect("valid record")).collect();
-        assert_eq!(records, t.records());
-    }
-
-    #[test]
-    fn streaming_size_hint_never_trusts_the_count() {
-        let buf = encoded(&sample());
-        let mut stream = stream_binary(Cursor::new(&buf)).unwrap();
-        assert_eq!(stream.size_hint(), (0, Some(7)));
-        stream.next();
-        assert_eq!(stream.size_hint(), (0, Some(6)));
-        assert_eq!(stream.by_ref().count(), 5);
-        assert_eq!(stream.size_hint(), (0, Some(0)));
+        let trickled = read_binary(Trickle(&buf)).unwrap();
+        assert_eq!(trickled.name(), "roundtrip");
+        assert_eq!(trickled, read_binary(Cursor::new(&buf)).unwrap());
     }
 
     #[test]
     fn a_lying_count_allocates_nothing() {
-        // 40 bytes whose header claims 2^40 records: collecting must
+        // 40 bytes whose header claims 2^40 records: decoding must
         // fail on the missing bytes, not size a Vec from the claim.
         let mut buf = encoded(&Trace::new("liar"));
         let at = count_at(&Trace::new("liar"));
         buf[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         buf.resize(40, 0);
-        let stream = stream_binary(Cursor::new(&buf)).unwrap();
-        let err = stream.collect::<Vec<_>>().pop().unwrap().unwrap_err();
-        assert!(err.to_string().contains("truncated at record 1"), "{err}");
         let err = read_binary(Cursor::new(&buf)).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
+        assert!(err.to_string().contains("truncated at record 1"), "{err}");
     }
 
     #[test]
     fn streaming_reports_truncation_once_then_stops() {
+        // Five whole records, then 14 of the sixth's 17 bytes: the
+        // error names the first record that could not be read.
         let mut buf = encoded(&sample());
         buf.truncate(buf.len() - 3);
-        let stream = stream_binary(Cursor::new(&buf)).unwrap();
-        let results: Vec<Result<BranchRecord, CodecError>> = stream.collect();
-        assert_eq!(results.len(), 6, "5 good records + 1 error");
-        assert!(results[..5].iter().all(Result::is_ok));
-        assert!(results[5].as_ref().is_err());
+        let err = read_binary(Cursor::new(&buf)).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Malformed(m) if m.starts_with("truncated at record 5:")),
+            "{err}"
+        );
     }
 
     #[test]
     fn streaming_rejects_bad_header() {
-        assert!(stream_binary(Cursor::new(b"NOPE\x01")).is_err());
+        assert!(read_binary(Cursor::new(b"NOPE\x01")).is_err());
+        let t = sample();
+        let buf = encoded(&t);
+        for cut in 0..count_at(&t) + 8 {
+            assert!(read_binary(Cursor::new(&buf[..cut])).is_err(), "cut {cut}");
+        }
     }
 
     #[test]
@@ -450,15 +290,6 @@ mod tests {
     fn binary_roundtrip_preserves_everything() {
         let t = sample();
         let back = read_binary(Cursor::new(&encoded(&t))).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_everything() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_text(&t, &mut buf).unwrap();
-        let back = read_text(Cursor::new(&buf)).unwrap();
         assert_eq!(t, back);
     }
 
@@ -496,27 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn text_tolerates_blank_lines_and_comments() {
-        let input = "# trace: demo\n\n# a comment\n1000 1040 T cond\n";
-        let t = read_text(Cursor::new(input)).unwrap();
-        assert_eq!(t.name(), "demo");
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn text_reports_line_numbers_on_errors() {
-        let input = "# trace: demo\n1000 1040 X cond\n";
-        let err = read_text(Cursor::new(input)).unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
     fn empty_trace_roundtrips() {
         let t = Trace::new("empty");
         assert_eq!(read_binary(Cursor::new(encoded(&t))).unwrap(), t);
-        let mut txt = Vec::new();
-        write_text(&t, &mut txt).unwrap();
-        assert_eq!(read_text(Cursor::new(&txt)).unwrap(), t);
     }
 
     /// Decodes `bytes`: the properties below hold when every input

@@ -13,8 +13,8 @@
 //! * [`PackedTrace`] — the conditional branches as columns, and their
 //!   checksummed on-disk form ([`PackedTrace::write_to`],
 //!   [`PackedTrace::read_from`]), which the harness's trace cache uses;
-//! * [`codec`] — a compact binary format and a line-oriented text format
-//!   for persisting whole traces.
+//! * [`codec`] — a compact binary format for persisting whole traces
+//!   ([`write_binary`], [`read_binary`]).
 //!
 //! ```
 //! use bpred_trace::{BranchRecord, Trace};
@@ -39,9 +39,7 @@ pub mod sink;
 pub mod stats;
 pub mod trace;
 
-pub use codec::{
-    read_binary, read_text, stream_binary, write_binary, write_text, BinaryStream, CodecError,
-};
+pub use codec::{read_binary, write_binary, CodecError};
 pub use digest::TraceDigest;
 pub use packed::{PackError, PackedRecord, PackedTrace, PackedTraceBuilder, SEAL_RECORDS};
 pub use record::{BranchKind, BranchRecord};

@@ -30,11 +30,9 @@
 //! the targets added to the site table first.
 //!
 //! Traces that never exist whole in memory are packed piecewise with
-//! [`PackedTraceBuilder`]: records are appended in arrival order, the
-//! per-record columns seal in fixed-size blocks of [`SEAL_RECORDS`]
-//! (a sealed block's bytes never change again), and a running
-//! [`TraceDigest`] identifies the stream so far. The builder is a
-//! [`RecordSink`], so a workload generator can push straight into it,
+//! [`PackedTraceBuilder`]: records are appended in arrival order and a
+//! running [`TraceDigest`] identifies the stream so far. The builder is
+//! a [`RecordSink`], so a workload generator can push straight into it,
 //! and [`PackedTrace::build`] is the same builder fed a whole [`Trace`].
 //!
 //! A finished trace persists as its columns: [`PackedTrace::write_to`]
@@ -197,7 +195,9 @@ impl PackedTrace {
     /// `u32::MAX` distinct conditional branch sites.
     pub fn build(trace: &Trace) -> Result<Self, PackError> {
         let mut builder = PackedTraceBuilder::new(trace.name());
-        builder.append_all(trace.records())?;
+        for r in trace.records() {
+            builder.append(r)?;
+        }
         Ok(builder.finish())
     }
 
@@ -272,22 +272,6 @@ impl PackedTrace {
     #[must_use]
     pub fn site_table(&self) -> Vec<SiteSummary> {
         crate::stats::tally_sites(self.records().map(|r| (r.pc, r.taken)))
-    }
-
-    /// Approximate resident bytes of the packed per-record columns
-    /// (site ids + two bit columns), the engine's hot working set.
-    #[must_use]
-    pub fn packed_bytes(&self) -> usize {
-        self.sites.len() * std::mem::size_of::<u32>()
-            + (self.outcomes.words.len() + self.backward.words.len()) * std::mem::size_of::<u64>()
-            + self.site_pcs.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Bytes the same records occupy in the array-of-structs [`Trace`]
-    /// representation, for reduction reporting.
-    #[must_use]
-    pub fn unpacked_bytes(&self) -> usize {
-        self.sites.len() * std::mem::size_of::<BranchRecord>()
     }
 
     /// Writes the trace's columns in the checksummed file layout of
@@ -662,17 +646,17 @@ fn lane_step(acc: u64, word: u64) -> u64 {
         .wrapping_mul(P1)
 }
 
-/// Conditional records per sealed block of a [`PackedTraceBuilder`]:
-/// once a block fills, its slice of the packed columns is immutable
-/// (the bit columns only ever append to the final partial word), so
-/// consumers may stream sealed blocks while the tail is still open.
+/// Records per `FEED` chunk when a client streams a trace to
+/// `repro serve`: the chunk size of the harness's serve client and of
+/// the benchmark's serve load.
 pub const SEAL_RECORDS: usize = 4096;
 
-/// Chunked [`PackedTrace`] construction for piecewise trace ingestion.
+/// Record-by-record [`PackedTrace`] construction for piecewise trace
+/// ingestion.
 ///
-/// The builder accepts records one chunk at a time — from a socket, a
-/// file reader, or a generator; [`PackedTrace::build`] feeds it a whole
-/// [`Trace`]. It keeps the deduplicated site table, the bit-packed
+/// The builder accepts records as they arrive — from a serve client's
+/// `FEED` chunks or a generator; [`PackedTrace::build`] feeds it a
+/// whole [`Trace`]. It keeps the deduplicated site table, the bit-packed
 /// outcome/backwardness columns, per-site outcome tallies (for
 /// [`TraceStats`]), and a running [`TraceDigest`] over *every* record
 /// seen (all kinds, like [`Trace::digest`], so a streamed trace keys
@@ -769,24 +753,6 @@ impl PackedTraceBuilder {
         }))
     }
 
-    /// Appends a chunk of records, returning how many were conditional
-    /// (and therefore packed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PackError::TooManySites`] as [`Self::append`] does;
-    /// records before the failing one stay appended.
-    pub fn append_all<'a>(
-        &mut self,
-        records: impl IntoIterator<Item = &'a BranchRecord>,
-    ) -> Result<usize, PackError> {
-        let mut packed = 0;
-        for r in records {
-            packed += usize::from(self.append(r)?.is_some());
-        }
-        Ok(packed)
-    }
-
     /// Conditional records packed so far.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -799,24 +765,6 @@ impl PackedTraceBuilder {
         self.sites.is_empty()
     }
 
-    /// Records of any kind fed so far (the digest's record count).
-    #[must_use]
-    pub fn records_seen(&self) -> u64 {
-        self.records_seen
-    }
-
-    /// Complete, immutable blocks of [`SEAL_RECORDS`] packed records.
-    #[must_use]
-    pub fn sealed_blocks(&self) -> usize {
-        self.len() / SEAL_RECORDS
-    }
-
-    /// Packed records in the still-open tail block.
-    #[must_use]
-    pub fn open_records(&self) -> usize {
-        self.len() % SEAL_RECORDS
-    }
-
     /// The [`TraceDigest`] of every record fed so far — equal to
     /// [`Trace::digest`] of the same record sequence, at any point of
     /// the stream.
@@ -825,7 +773,7 @@ impl PackedTraceBuilder {
         self.digest.finish()
     }
 
-    /// Seals the tail and returns the finished [`PackedTrace`].
+    /// Returns the finished [`PackedTrace`].
     #[must_use]
     pub fn finish(self) -> PackedTrace {
         PackedTrace {
@@ -990,7 +938,6 @@ mod tests {
         }
         assert_eq!(packed_count, 3);
         assert_eq!(b.len(), 3);
-        assert_eq!(b.records_seen(), 4);
         assert_eq!(b.running_digest(), t.digest());
         assert_eq!(b.finish(), PackedTrace::build(&t).unwrap());
     }
@@ -1009,7 +956,9 @@ mod tests {
         for chunk in [1usize, 63, 64, 65, 4096, 4097] {
             let mut b = PackedTraceBuilder::new("long");
             for records in t.records().chunks(chunk) {
-                b.append_all(records).unwrap();
+                for r in records {
+                    b.append(r).unwrap();
+                }
             }
             assert_eq!(b.running_digest(), t.digest(), "chunk {chunk}");
             assert_eq!(b.finish(), want, "chunk {chunk}");
@@ -1028,19 +977,6 @@ mod tests {
         }
         let whole: Vec<PackedRecord> = PackedTrace::build(&t).unwrap().records().collect();
         assert_eq!(streamed, whole);
-    }
-
-    #[test]
-    fn builder_seals_fixed_size_blocks() {
-        let mut b = PackedTraceBuilder::new("blocks");
-        assert_eq!((b.sealed_blocks(), b.open_records()), (0, 0));
-        for i in 0..SEAL_RECORDS as u64 + 5 {
-            b.append(&BranchRecord::conditional(0x100 + (i % 9) * 4, 0, true))
-                .unwrap();
-        }
-        assert_eq!(b.sealed_blocks(), 1);
-        assert_eq!(b.open_records(), 5);
-        assert!(!b.is_empty());
     }
 
     #[test]
@@ -1069,6 +1005,8 @@ mod tests {
 
     #[test]
     fn packed_bytes_report_a_real_reduction() {
+        // The packed file (about 4.25 bytes per record) against the
+        // binary codec's 17 bytes per record for the same trace.
         let mut t = Trace::new("big");
         for i in 0..10_000u64 {
             t.push(BranchRecord::conditional(
@@ -1077,12 +1015,13 @@ mod tests {
                 i % 2 == 0,
             ));
         }
-        let p = PackedTrace::build(&t).unwrap();
+        let packed = file(&PackedTrace::build(&t).unwrap()).len();
+        let mut codec = Vec::new();
+        crate::write_binary(&t, &mut codec).unwrap();
         assert!(
-            p.packed_bytes() * 5 < p.unpacked_bytes(),
-            "packed {} vs unpacked {}",
-            p.packed_bytes(),
-            p.unpacked_bytes()
+            packed * 3 < codec.len(),
+            "packed {packed} vs codec {}",
+            codec.len()
         );
     }
 

@@ -17,7 +17,7 @@ fn main() {
     let traces = [&packed];
 
     // 1. The exhaustive search at one size: the whole m-curve.
-    let best = best_gshare(&traces, 10, None);
+    let best = best_gshare(&traces, &[10], None).remove(0);
     println!("gshare search at 2^10 counters on `vortex`:");
     println!("  {:>3}  {:>12}", "m", "mispredict %");
     for (m, rate) in &best.curve {

@@ -150,17 +150,26 @@ fn alias_taxonomy_runs_on_real_workloads() {
 
 #[test]
 fn streaming_codec_handles_workload_traces() {
-    use bimode_repro::trace::{stream_binary, write_binary};
+    use bimode_repro::trace::{read_binary, write_binary};
+
+    /// Hands out at most 7 bytes per read, like a pipe or a socket.
+    struct Pieces<'a>(&'a [u8]);
+    impl std::io::Read for Pieces<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = out.len().min(self.0.len()).min(7);
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
     let trace = Workload::by_name("xlisp").unwrap().trace(Scale::Smoke);
     let mut buf = Vec::new();
     write_binary(&trace, &mut buf).expect("write");
-    let stream = stream_binary(std::io::Cursor::new(&buf)).expect("header");
-    assert_eq!(stream.name(), "xlisp");
-    let count = stream.fold(0usize, |n, r| {
-        r.expect("valid");
-        n + 1
-    });
-    assert_eq!(count, trace.len());
+    let back = read_binary(Pieces(&buf)).expect("decodes");
+    assert_eq!(back.name(), "xlisp");
+    assert_eq!(back.len(), trace.len());
+    assert_eq!(back.digest(), trace.digest());
 }
 
 #[test]

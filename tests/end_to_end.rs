@@ -5,7 +5,7 @@ use std::io::Cursor;
 
 use bimode_repro::analysis::{measure, Analysis};
 use bimode_repro::core::{BiMode, BiModeConfig, Gshare, Predictor, PredictorSpec};
-use bimode_repro::trace::{read_binary, read_text, write_binary, write_text, PackedTrace};
+use bimode_repro::trace::{read_binary, write_binary, PackedTrace};
 use bimode_repro::workloads::{Scale, Suite, Workload};
 
 #[test]
@@ -43,18 +43,6 @@ fn binary_codec_roundtrips_real_workload_traces() {
     let mut buf = Vec::new();
     write_binary(&trace, &mut buf).expect("write");
     let back = read_binary(Cursor::new(&buf)).expect("read");
-    assert_eq!(trace, back);
-}
-
-#[test]
-fn text_codec_roundtrips_a_real_trace_prefix() {
-    let trace = Workload::by_name("compress")
-        .unwrap()
-        .trace(Scale::Smoke)
-        .truncated(5_000);
-    let mut buf = Vec::new();
-    write_text(&trace, &mut buf).expect("write");
-    let back = read_text(Cursor::new(&buf)).expect("read");
     assert_eq!(trace, back);
 }
 

@@ -43,9 +43,10 @@ fn bimode_beats_next_smaller_best_gshare_on_spec_average() {
         .map(|t| PackedTrace::build(t).unwrap())
         .collect();
     let refs: Vec<&PackedTrace> = packed.iter().collect();
-    for d in [9u32, 10, 11, 12] {
+    let ds = [9u32, 10, 11, 12];
+    let sizes: Vec<u32> = ds.iter().map(|d| d + 1).collect();
+    for (d, best) in ds.into_iter().zip(best_gshare(&refs, &sizes, None)) {
         let bimode = average_rate(&traces, BiMode::new(BiModeConfig::paper_default(d)));
-        let best = best_gshare(&refs, d + 1, None);
         assert!(
             bimode <= best.average_rate * 1.03,
             "d={d}: bi-mode {:.2}% vs gshare.best(s={}) {:.2}%",
@@ -188,7 +189,7 @@ fn bimode_is_competitive_on_ibs_average() {
         .collect();
     let refs: Vec<&PackedTrace> = packed.iter().collect();
     let bimode = average_rate(&traces, BiMode::new(BiModeConfig::paper_default(11)));
-    let best = best_gshare(&refs, 12, None);
+    let best = best_gshare(&refs, &[12], None).remove(0);
     assert!(
         bimode <= best.average_rate * 1.05,
         "bi-mode(d=11): {:.2}% vs best gshare(s=12): {:.2}%",
