@@ -65,6 +65,6 @@ pub use metrics::{Engine, EngineDrive, EngineSnapshot};
 pub use session::{PackedSession, SlicedSession};
 pub use simulate::{measure, measure_with_flushes, RunResult};
 pub use sites::{SiteMisses, SiteTally};
-pub use sliced::{measure_sliced, measure_sliced_chunks, LaneSpec, MAX_LANES};
+pub use sliced::{measure_sliced, measure_sliced_chunks, Lane, LaneSpec, MAX_LANES};
 pub use twopass::{Analysis, ClassChanges, CounterBias, MispredictionBreakdown};
 pub use warmup::{warmup_windows, windowed_rates};

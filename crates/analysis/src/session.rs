@@ -1,5 +1,5 @@
 //! Incremental engine sessions: the `feed(chunk)` / `finish()` seam
-//! under the packed and sliced engines and the streaming service.
+//! under the packed and lane engines and the streaming service.
 //!
 //! A *session* is an engine with its state made explicit and resumable
 //! between chunks:
@@ -7,12 +7,13 @@
 //! * [`PackedSession`] — one predictor ([`crate::measure_packed`]'s
 //!   loop); the resumable state is the predictor itself (its history
 //!   register and counter tables) plus the running mispredict tally.
-//! * [`SlicedSession`] — up to [`MAX_LANES`]
-//!   gshare-family lanes, each a weakly-taken [`CounterTable`]
-//!   ([`crate::measure_sliced`]'s loop); state is the per-lane tables
-//!   and masks, the per-lane tallies, and the single **shared unmasked
-//!   history register** that must survive chunk boundaries for results
-//!   to stay bit-identical.
+//! * [`SlicedSession`] — up to [`MAX_LANES`] lanes of either kind
+//!   ([`crate::measure_sliced`]'s loop): gshare-family lanes, each a
+//!   weakly-taken [`CounterTable`], and shared-index bi-mode lanes,
+//!   each a choice table plus two interleaved direction banks. State is
+//!   the per-lane tables and masks, the per-lane tallies, and the
+//!   single **shared unmasked history register** that must survive
+//!   chunk boundaries for results to stay bit-identical.
 //!
 //! The packed session retires each branch with one
 //! [`Predictor::retire`] call (predict with the record's target, then
@@ -44,13 +45,13 @@ use std::time::{Duration, Instant};
 
 use bpred_core::index::{low_bits, pc_word, to_index};
 use bpred_core::table::CounterTable;
-use bpred_core::{Counter2, Predictor};
+use bpred_core::{BankInit, BiModeConfig, ChoiceUpdate, Counter2, IndexShare, Predictor};
 use bpred_trace::PackedRecord;
 
 use crate::metrics::{self, Engine};
 use crate::simulate::RunResult;
 use crate::sites::SiteTally;
-use crate::sliced::{LaneSpec, MAX_LANES};
+use crate::sliced::{Lane, LaneSpec, MAX_LANES};
 
 /// Incremental form of the packed single-predictor engine.
 ///
@@ -150,63 +151,54 @@ where
     }
 }
 
-/// Incremental form of the sliced engine: the per-lane
-/// [`CounterTable`]s, index masks, and mispredict tallies, plus the one
-/// **shared unmasked history register** every lane reads through its
-/// own mask — made explicit here so it survives chunk boundaries.
+/// Incremental form of the lane engine: each lane kind's tables,
+/// index masks and mispredict tallies, plus the one **shared unmasked
+/// history register** every lane reads through its own mask — made
+/// explicit here so it survives chunk boundaries.
 #[derive(Debug)]
 pub struct SlicedSession {
-    tables: Vec<CounterTable>,
-    pc_masks: Vec<u64>,
-    hist_masks: Vec<u64>,
-    missed: Vec<u64>,
+    gshare: GshareLanes,
+    bimode: BiModeLanes,
+    /// Whether input lane `i` is a bi-mode lane: the order in which
+    /// [`Self::finish`] interleaves the two kinds' results.
+    is_bimode: Vec<bool>,
     shared: u64,
     branches: u64,
     busy: Duration,
 }
 
 impl SlicedSession {
-    /// Opens a session over a lane group, every lane's table
-    /// initialised weakly taken and the shared history register empty.
+    /// Opens a session over a lane group, every lane's tables at their
+    /// power-on state and the shared history register empty.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` exceeds [`MAX_LANES`] entries, or a lane has
-    /// `history_bits > table_bits` or `table_bits > 30` — the same
-    /// contract as [`crate::measure_sliced`].
+    /// Panics if `lanes` exceeds [`MAX_LANES`] entries, or a lane breaks
+    /// its predictor constructor's invariants — the same contract as
+    /// [`crate::measure_sliced`].
     #[must_use]
-    pub fn new(lanes: &[LaneSpec]) -> Self {
+    pub fn new(lanes: &[Lane]) -> Self {
         assert!(
             lanes.len() <= MAX_LANES,
-            "a sliced group holds at most {MAX_LANES} lanes, got {}",
+            "a lane group holds at most {MAX_LANES} lanes, got {}",
             lanes.len()
         );
-        for lane in lanes {
-            assert!(
-                lane.history_bits <= lane.table_bits,
-                "history length {} exceeds index width {}",
-                lane.history_bits,
-                lane.table_bits
-            );
-        }
-        Self {
-            tables: lanes
-                .iter()
-                .map(|l| CounterTable::new(l.table_bits, Counter2::WEAKLY_TAKEN))
-                .collect(),
-            pc_masks: lanes
-                .iter()
-                .map(|l| low_bits(u64::MAX, l.table_bits))
-                .collect(),
-            hist_masks: lanes
-                .iter()
-                .map(|l| low_bits(u64::MAX, l.history_bits))
-                .collect(),
-            missed: vec![0; lanes.len()],
+        let mut session = Self {
+            gshare: GshareLanes::default(),
+            bimode: BiModeLanes::default(),
+            is_bimode: Vec::with_capacity(lanes.len()),
             shared: 0,
             branches: 0,
             busy: Duration::ZERO,
+        };
+        for &lane in lanes {
+            match lane {
+                Lane::Gshare(lane) => session.gshare.push(lane),
+                Lane::BiMode(config) => session.bimode.push(config),
+            }
+            session.is_bimode.push(matches!(lane, Lane::BiMode(_)));
         }
+        session
     }
 
     /// Feeds one chunk of replayed records to every lane, in program
@@ -217,23 +209,38 @@ impl SlicedSession {
         I: IntoIterator<Item = PackedRecord>,
     {
         let started = Instant::now();
-        for r in chunk {
-            let pcw = pc_word(r.pc);
-            let taken = r.taken;
-            for (((table, &pc_mask), &hist_mask), missed) in self
-                .tables
-                .iter_mut()
-                .zip(&self.pc_masks)
-                .zip(&self.hist_masks)
-                .zip(&mut self.missed)
-            {
-                let index = to_index((pcw & pc_mask) ^ (self.shared & hist_mask));
-                *missed += u64::from(table.retire(index, taken) != taken);
-            }
-            self.shared = (self.shared << 1) | u64::from(taken);
-            self.branches += 1;
+        // One loop per combination of kinds present, so a one-kind
+        // group pays nothing per record for the other kind.
+        match (self.gshare.missed.is_empty(), self.bimode.missed.is_empty()) {
+            (false, true) => self.feed_kinds::<true, false, _>(chunk),
+            (true, false) => self.feed_kinds::<false, true, _>(chunk),
+            _ => self.feed_kinds::<true, true, _>(chunk),
         }
         self.busy += started.elapsed();
+    }
+
+    /// The record-outer loop over the kinds `GSHARE` and `BIMODE`
+    /// select.
+    fn feed_kinds<const GSHARE: bool, const BIMODE: bool, I>(&mut self, chunk: I)
+    where
+        I: IntoIterator<Item = PackedRecord>,
+    {
+        let (gshare, bimode) = (&mut self.gshare, &mut self.bimode);
+        let mut shared = self.shared;
+        let mut branches = 0;
+        for r in chunk {
+            let pcw = pc_word(r.pc);
+            if GSHARE {
+                gshare.retire(pcw, shared, r.taken);
+            }
+            if BIMODE {
+                bimode.retire(pcw, shared, r.taken);
+            }
+            shared = (shared << 1) | u64::from(r.taken);
+            branches += 1;
+        }
+        self.shared = shared;
+        self.branches += branches;
     }
 
     /// Closes the session: records the engine drive (branches × lanes
@@ -241,15 +248,151 @@ impl SlicedSession {
     /// final per-lane results in input order.
     #[must_use]
     pub fn finish(self) -> Vec<RunResult> {
-        let lanes = self.tables.len() as u64;
+        let lanes = self.is_bimode.len() as u64;
         metrics::record_engine_drive(Engine::Sliced, self.branches * lanes, lanes, self.busy);
-        self.missed
+        let mut gshare = self.gshare.missed.into_iter();
+        let mut bimode = self.bimode.missed.into_iter();
+        self.is_bimode
             .into_iter()
-            .map(|mispredictions| RunResult {
+            .map(|is_bimode| RunResult {
                 branches: self.branches,
-                mispredictions,
+                mispredictions: if is_bimode {
+                    bimode.next()
+                } else {
+                    gshare.next()
+                }
+                .unwrap_or_default(),
             })
             .collect()
+    }
+}
+
+/// The gshare lanes of a [`SlicedSession`], one weakly-taken
+/// [`CounterTable`] each, as parallel per-lane columns.
+#[derive(Debug, Default)]
+struct GshareLanes {
+    tables: Vec<CounterTable>,
+    pc_masks: Vec<u64>,
+    hist_masks: Vec<u64>,
+    missed: Vec<u64>,
+}
+
+impl GshareLanes {
+    fn push(&mut self, lane: LaneSpec) {
+        assert!(
+            lane.history_bits <= lane.table_bits,
+            "history length {} exceeds index width {}",
+            lane.history_bits,
+            lane.table_bits
+        );
+        self.tables
+            .push(CounterTable::new(lane.table_bits, Counter2::WEAKLY_TAKEN));
+        self.pc_masks.push(low_bits(u64::MAX, lane.table_bits));
+        self.hist_masks.push(low_bits(u64::MAX, lane.history_bits));
+        self.missed.push(0);
+    }
+
+    /// Retires one record on every lane: the `gshare_index` of the
+    /// word pc and the lane's view of the shared history.
+    #[inline(always)]
+    fn retire(&mut self, pcw: u64, shared: u64, taken: bool) {
+        for (((table, &pc_mask), &hist_mask), missed) in self
+            .tables
+            .iter_mut()
+            .zip(&self.pc_masks)
+            .zip(&self.hist_masks)
+            .zip(&mut self.missed)
+        {
+            let index = to_index((pcw & pc_mask) ^ (shared & hist_mask));
+            *missed += u64::from(table.retire(index, taken) != taken);
+        }
+    }
+}
+
+/// Per-lane index masks and choice policy of a bi-mode lane.
+#[derive(Debug, Clone, Copy)]
+struct BiModeMasks {
+    choice: u64,
+    direction: u64,
+    history: u64,
+    always_choice: bool,
+}
+
+/// The shared-index bi-mode lanes of a [`SlicedSession`], as parallel
+/// per-lane columns: a choice table of `2^c` counters, and the two
+/// direction banks of `2^d` counters interleaved in one table, counter
+/// `i` of bank `b` at slot `2i + b`, so the selected counter is one
+/// index away from its twin.
+#[derive(Debug, Default)]
+struct BiModeLanes {
+    choices: Vec<Vec<Counter2>>,
+    banks: Vec<Vec<Counter2>>,
+    masks: Vec<BiModeMasks>,
+    missed: Vec<u64>,
+}
+
+impl BiModeLanes {
+    fn push(&mut self, config: BiModeConfig) {
+        assert!(
+            config.index_share == IndexShare::Shared,
+            "a bi-mode lane shares one direction index between its banks"
+        );
+        assert!(
+            config.history_bits <= config.direction_bits,
+            "history length {} exceeds direction index width {}",
+            config.history_bits,
+            config.direction_bits
+        );
+        // Footnote 2: the not-taken bank starts weakly not-taken, the
+        // taken bank weakly taken; the ablation starts both taken.
+        let banks = match config.bank_init {
+            BankInit::Split => [Counter2::WEAKLY_NOT_TAKEN, Counter2::WEAKLY_TAKEN],
+            BankInit::UniformWeaklyTaken => [Counter2::WEAKLY_TAKEN; 2],
+        };
+        assert!(
+            config.choice_bits <= 30 && config.direction_bits <= 30,
+            "bi-mode table indices must be <= 30 bits, got c={} d={}",
+            config.choice_bits,
+            config.direction_bits
+        );
+        self.choices
+            .push(vec![Counter2::WEAKLY_TAKEN; 1 << config.choice_bits]);
+        self.banks.push(banks.repeat(1 << config.direction_bits));
+        self.masks.push(BiModeMasks {
+            choice: low_bits(u64::MAX, config.choice_bits),
+            direction: low_bits(u64::MAX, config.direction_bits),
+            history: low_bits(u64::MAX, config.history_bits),
+            always_choice: config.choice_update == ChoiceUpdate::Always,
+        });
+        self.missed.push(0);
+    }
+
+    /// Retires one record on every lane, exactly as
+    /// [`BiMode`](bpred_core::BiMode)'s `retire` does: the choice
+    /// counter picks a bank, the selected direction counter predicts
+    /// and alone is trained, and the choice counter is trained unless
+    /// it chose wrong while the selected counter was right (the partial
+    /// update; always trained under [`ChoiceUpdate::Always`]).
+    #[inline(always)]
+    fn retire(&mut self, pcw: u64, shared: u64, taken: bool) {
+        for (((choices, banks), masks), missed) in self
+            .choices
+            .iter_mut()
+            .zip(&mut self.banks)
+            .zip(&self.masks)
+            .zip(&mut self.missed)
+        {
+            let choice_index = to_index(pcw & masks.choice);
+            let choice = choices[choice_index];
+            let bank = choice.predict();
+            let index = to_index((pcw & masks.direction) ^ (shared & masks.history));
+            let selected = &mut banks[2 * index + usize::from(bank)];
+            let prediction = selected.predict();
+            selected.update(taken);
+            let keep = !masks.always_choice & (bank != taken) & (prediction == taken);
+            choices[choice_index] = if keep { choice } else { choice.updated(taken) };
+            *missed += u64::from(prediction != taken);
+        }
     }
 }
 
@@ -305,10 +448,12 @@ mod tests {
     #[test]
     fn sliced_session_history_survives_chunk_boundaries() {
         let packed = lcg_packed(13, 2000, 17);
-        let lanes: Vec<LaneSpec> = (0..8u32)
-            .map(|m| LaneSpec {
-                table_bits: 8,
-                history_bits: m,
+        let lanes: Vec<Lane> = (0..8u32)
+            .map(|m| {
+                Lane::Gshare(LaneSpec {
+                    table_bits: 8,
+                    history_bits: m,
+                })
             })
             .collect();
         let want = measure_sliced(&packed, &lanes);
@@ -325,11 +470,59 @@ mod tests {
     }
 
     #[test]
+    fn bimode_lane_sessions_are_chunking_invariant() {
+        // Every choice and initialisation policy, the paper's shape and
+        // a short-history, narrow-choice one, beside a gshare lane.
+        let packed = lcg_packed(31, 3000, 23);
+        let mut lanes = vec![Lane::Gshare(LaneSpec {
+            table_bits: 7,
+            history_bits: 5,
+        })];
+        for update in [ChoiceUpdate::Partial, ChoiceUpdate::Always] {
+            for init in [BankInit::Split, BankInit::UniformWeaklyTaken] {
+                for (d, c, h) in [(6, 6, 6), (7, 3, 2)] {
+                    let mut config = BiModeConfig::new(d, c, h);
+                    config.choice_update = update;
+                    config.bank_init = init;
+                    lanes.push(Lane::BiMode(config));
+                }
+            }
+        }
+        let want = measure_sliced(&packed, &lanes);
+        for (lane, want) in lanes.iter().zip(&want) {
+            if let Lane::BiMode(config) = *lane {
+                assert_eq!(
+                    *want,
+                    measure_packed(&packed, &mut bpred_core::BiMode::new(config)),
+                    "{config:?}"
+                );
+            }
+        }
+        for chunk in [1usize, 63, 64, 65] {
+            let mut session = SlicedSession::new(&lanes);
+            feed_in_chunks(packed.len(), chunk, |s, e| {
+                session.feed((s..e).map(|i| packed.record(i)));
+            });
+            assert_eq!(session.finish(), want, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shares one direction index")]
+    fn skewed_bimode_is_not_a_lane() {
+        let mut config = BiModeConfig::paper_default(4);
+        config.index_share = IndexShare::SkewedPerBank;
+        let _ = SlicedSession::new(&[Lane::BiMode(config)]);
+    }
+
+    #[test]
     fn sessions_record_engine_drives_on_finish() {
         let packed = lcg_packed(23, 600, 7);
-        let lanes = [5, 0].map(|history_bits| LaneSpec {
-            table_bits: 5,
-            history_bits,
+        let lanes = [5, 0].map(|history_bits| {
+            Lane::Gshare(LaneSpec {
+                table_bits: 5,
+                history_bits,
+            })
         });
         let before = metrics::engine_snapshot();
         let mut s = SlicedSession::new(&lanes);
@@ -360,10 +553,10 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn sliced_session_rejects_oversized_groups() {
         let lanes = vec![
-            LaneSpec {
+            Lane::Gshare(LaneSpec {
                 table_bits: 4,
                 history_bits: 0
-            };
+            });
             MAX_LANES + 1
         ];
         let _ = SlicedSession::new(&lanes);

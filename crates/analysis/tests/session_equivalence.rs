@@ -11,7 +11,7 @@
 //! would produce.
 
 use bpred_analysis::session::{PackedSession, SlicedSession};
-use bpred_analysis::sliced::LaneSpec;
+use bpred_analysis::sliced::Lane;
 use bpred_analysis::{measure_batch, measure_packed, measure_sliced, RunResult};
 use bpred_core::spec::GRAMMAR;
 use bpred_core::{Predictor, PredictorSpec};
@@ -137,9 +137,9 @@ fn chunked_batch_sessions_match_the_one_shot_batch_for_the_whole_grammar() {
 #[test]
 fn chunked_sliced_sessions_match_the_one_shot_for_every_sliceable_spec() {
     let (_, packed) = test_trace(47, 2477);
-    let lanes: Vec<LaneSpec> = SPECS
+    let lanes: Vec<Lane> = SPECS
         .iter()
-        .filter_map(|s| LaneSpec::of(&s.parse::<PredictorSpec>().expect("parses")))
+        .filter_map(|s| Lane::of(&s.parse::<PredictorSpec>().expect("parses")))
         .collect();
     assert!(!lanes.is_empty(), "grammar has sliceable members");
     let want = measure_sliced(&packed, &lanes);
@@ -224,7 +224,7 @@ proptest! {
         prop_assert_eq!(session.finish(), want);
 
         // Sliced session under the same chunking, when sliceable.
-        if let Some(lane) = LaneSpec::of(&spec) {
+        if let Some(lane) = Lane::of(&spec) {
             let lanes = [lane];
             let mut session = SlicedSession::new(&lanes);
             let mut start = 0;

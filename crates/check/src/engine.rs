@@ -7,25 +7,31 @@
 //! instead of sampling traces, it *enumerates* every micro-trace up to a
 //! bounded length over a small (pc × outcome) alphabet and compares all
 //! the engine paths — scalar, packed single-predictor, packed batched,
-//! and (for gshare-family specs) the sliced lane engine — on every
-//! one of them, then adds one long pseudo-random trace.
+//! and (for gshare-family and shared-index bi-mode specs) the lane
+//! engine — on every one of them, then adds one long pseudo-random
+//! trace.
 //!
-//! Two further passes pin the sliced engine down:
+//! Three further passes pin the lane engine down:
 //!
-//! * [`sliced_coverage`] audits the [`LaneSpec::of`] classification —
-//!   sliceability must be decided per grammar family (never per
-//!   config), every sliceable target must behaviourally match the
-//!   scalar loop, and every fallback (bi-mode's cross-bank choice
-//!   update among them) must be an *explicit* `None`, so no spec can
-//!   silently take the wrong path;
-//! * [`check_sliced_grid`] enumerates **every** sliceable shape up to a
-//!   table-width bound — all `(s, m <= s)` gshare pairs plus every
+//! * [`sliced_coverage`] audits the [`Lane::of`] classification —
+//!   sliceability must be decided per grammar family and named policy
+//!   (never by a width), every sliceable target must behaviourally
+//!   match the scalar loop, and every fallback (skewed bi-mode, the
+//!   tagged and combining schemes) must be an *explicit* `None`, so no
+//!   spec can silently take the wrong path;
+//! * [`check_sliced_grid`] enumerates **every** gshare-family shape up
+//!   to a table-width bound — all `(s, m <= s)` gshare pairs plus every
 //!   bimodal width — and proves each lane bit-identical to scalar on
-//!   two pseudo-random traces.
+//!   two pseudo-random traces;
+//! * [`check_bimode_grid`] enumerates every shared-index bi-mode shape
+//!   `(d, c, h <= d)` up to a width bound under both choice-update and
+//!   both bank-initialisation policies, and proves each lane
+//!   bit-identical to the packed engine's run of [`BiMode`] on the same
+//!   two traces.
 
-use bpred_analysis::sliced::{measure_sliced_chunks, LaneSpec};
+use bpred_analysis::sliced::{measure_sliced_chunks, Lane};
 use bpred_analysis::{measure, measure_batch, measure_packed, RunResult};
-use bpred_core::{Predictor, PredictorSpec};
+use bpred_core::{BankInit, BiMode, BiModeConfig, ChoiceUpdate, Predictor, PredictorSpec};
 use bpred_trace::{BranchRecord, PackedTrace, Trace};
 
 /// Outcome of the engine-equivalence check.
@@ -111,16 +117,16 @@ fn compare_on(trace: &Trace, specs: &[PredictorSpec], check: &mut EngineCheck) {
     let mut fleet: Vec<Box<dyn Predictor>> = specs.iter().map(PredictorSpec::build).collect();
     let batched = measure_batch(&packed, &mut fleet);
 
-    // One sliced pass covering every sliceable spec; non-sliceable
-    // specs (bi-mode's cross-bank choice update among them) have no
-    // sliced result — they are explicit batch fallbacks, and the
+    // One lane pass covering every lane spec; the other specs (skewed
+    // bi-mode and the tagged and combining schemes among them) have no
+    // lane result — they are explicit batch fallbacks, and the
     // coverage audit proves that classification is deliberate.
-    let sliceable: Vec<(usize, LaneSpec)> = specs
+    let sliceable: Vec<(usize, Lane)> = specs
         .iter()
         .enumerate()
-        .filter_map(|(i, s)| LaneSpec::of(s).map(|lane| (i, lane)))
+        .filter_map(|(i, s)| Lane::of(s).map(|lane| (i, lane)))
         .collect();
-    let lanes: Vec<LaneSpec> = sliceable.iter().map(|&(_, lane)| lane).collect();
+    let lanes: Vec<Lane> = sliceable.iter().map(|&(_, lane)| lane).collect();
     let mut sliced_of: Vec<Option<RunResult>> = vec![None; specs.len()];
     for (&(i, _), result) in sliceable.iter().zip(measure_sliced_chunks(&packed, &lanes)) {
         sliced_of[i] = Some(result);
@@ -239,10 +245,12 @@ impl SlicedCoverage {
     }
 }
 
-/// Audits the [`LaneSpec::of`] classification over `specs`:
+/// Audits the [`Lane::of`] classification over `specs`:
 ///
-/// * sliceability is decided per grammar family — two configs of the
-///   same family must never land on different sides;
+/// * sliceability is decided per grammar family and named policy — two
+///   configs of the same family whose only differences are widths must
+///   never land on different sides (bi-mode's `index=skewed` policy is
+///   a batch fallback while its shared index is a lane);
 /// * every sliceable spec behaviourally matches the scalar loop on a
 ///   pseudo-random probe trace (a misclassified family would
 ///   diverge here, not silently in a sweep);
@@ -259,15 +267,14 @@ pub fn sliced_coverage(specs: &[PredictorSpec]) -> SlicedCoverage {
     let mut families: Vec<(String, bool)> = Vec::new();
     let mut probe_specs: Vec<PredictorSpec> = Vec::new();
     for spec in specs {
-        let sliceable = LaneSpec::of(spec).is_some();
+        let sliceable = Lane::of(spec).is_some();
         if sliceable {
             coverage.sliceable += 1;
             probe_specs.push(spec.clone());
         } else {
             coverage.fallback += 1;
         }
-        let rendered = spec.to_string();
-        let family = rendered.split(':').next().unwrap_or(&rendered).to_owned();
+        let family = family_and_policies(spec);
         match families.iter().find(|(name, _)| *name == family) {
             Some(&(_, earlier)) if earlier != sliceable => {
                 coverage.violations.push(format!(
@@ -327,7 +334,7 @@ pub fn check_sliced_grid(max_table_bits: u32, boundary_records: usize) -> Engine
         }
         specs.push(PredictorSpec::Bimodal { table_bits: s });
     }
-    let lanes: Vec<LaneSpec> = specs.iter().filter_map(LaneSpec::of).collect();
+    let lanes: Vec<Lane> = specs.iter().filter_map(Lane::of).collect();
     if lanes.len() != specs.len() {
         check
             .violations
@@ -368,6 +375,101 @@ pub fn check_sliced_grid(max_table_bits: u32, boundary_records: usize) -> Engine
     check
 }
 
+/// A spec's grammar name plus its named (non-numeric) options: the
+/// key the coverage audit holds sliceability constant over. Widths
+/// (`s`, `h`, `d`, …) never decide the engine; a policy like
+/// `index=skewed` may.
+fn family_and_policies(spec: &PredictorSpec) -> String {
+    let rendered = spec.to_string();
+    let Some((name, options)) = rendered.split_once(':') else {
+        return rendered;
+    };
+    let policies: Vec<&str> = options
+        .split(',')
+        .filter(|option| {
+            option
+                .split_once('=')
+                .is_some_and(|(_, value)| value.parse::<u64>().is_err())
+        })
+        .collect();
+    if policies.is_empty() {
+        name.to_owned()
+    } else {
+        format!("{name}[{}]", policies.join(","))
+    }
+}
+
+/// Enumerates every shared-index bi-mode shape with `d, c <=
+/// max_bits` and `h <= d`, under both choice-update and both
+/// bank-initialisation policies, and proves each lane bit-identical to
+/// the packed engine's run of [`BiMode`] on two pseudo-random traces,
+/// one short and one `boundary_records` long.
+#[must_use]
+pub fn check_bimode_grid(max_bits: u32, boundary_records: usize) -> EngineCheck {
+    let mut check = EngineCheck {
+        traces: 0,
+        comparisons: 0,
+        violations: Vec::new(),
+    };
+    let mut configs: Vec<BiModeConfig> = Vec::new();
+    for update in [ChoiceUpdate::Partial, ChoiceUpdate::Always] {
+        for init in [BankInit::Split, BankInit::UniformWeaklyTaken] {
+            for d in 0..=max_bits {
+                for c in 0..=max_bits {
+                    for h in 0..=d {
+                        let mut config = BiModeConfig::new(d, c, h);
+                        config.choice_update = update;
+                        config.bank_init = init;
+                        configs.push(config);
+                    }
+                }
+            }
+        }
+    }
+    let lanes: Vec<Lane> = configs
+        .iter()
+        .filter_map(|&config| Lane::of(&PredictorSpec::BiMode(config)))
+        .collect();
+    if lanes.len() != configs.len() {
+        check
+            .violations
+            .push("a shared-index bi-mode spec failed to classify as a lane".to_owned());
+        return check;
+    }
+
+    for trace in [
+        boundary_trace(boundary_records, 37),
+        boundary_trace(boundary_records / 3, 5),
+    ] {
+        check.traces += 1;
+        let packed = match PackedTrace::build(&trace) {
+            Ok(p) => p,
+            Err(e) => {
+                check
+                    .violations
+                    .push(format!("{}: packing failed: {e}", trace.name()));
+                return check;
+            }
+        };
+        let laned = measure_sliced_chunks(&packed, &lanes);
+        for (config, lane_result) in configs.iter().zip(&laned) {
+            check.comparisons += 1;
+            let packed_result = measure_packed(&packed, &mut BiMode::new(*config));
+            if packed_result != *lane_result {
+                check.violations.push(format!(
+                    "{} on {}: packed {packed_result:?} != lane {lane_result:?}",
+                    PredictorSpec::BiMode(*config),
+                    trace.name()
+                ));
+                if check.violations.len() >= 5 {
+                    return check;
+                }
+            }
+        }
+    }
+    check
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,9 +493,9 @@ mod tests {
 
     #[test]
     fn fallback_specs_skip_the_sliced_comparison() {
-        // bi-mode is not sliceable: one comparison per trace, exactly
-        // as before the sliced engine existed.
-        let c = check_engines(&specs(&["bimode:d=2,c=2,h=2"]), 2, 64);
+        // Skewed bi-mode is not a lane: one comparison per trace,
+        // exactly as before the lane engine existed.
+        let c = check_engines(&specs(&["bimode:d=2,c=2,h=2,index=skewed"]), 2, 64);
         assert!(c.passed(), "{:?}", c.violations);
         assert_eq!(c.comparisons, c.traces);
     }
@@ -408,8 +510,11 @@ mod tests {
     fn coverage_audit_passes_on_the_verify_targets() {
         let coverage = sliced_coverage(&crate::engine_targets());
         assert!(coverage.passed(), "{:?}", coverage.violations);
-        assert!(coverage.sliceable >= 2, "gshare and bimodal at least");
-        assert!(coverage.fallback >= 1, "bi-mode at least");
+        assert!(
+            coverage.sliceable >= 3,
+            "gshare, bimodal and bi-mode at least"
+        );
+        assert!(coverage.fallback >= 1, "skewed bi-mode at least");
     }
 
     #[test]
@@ -421,7 +526,7 @@ mod tests {
             "{:?}",
             only_sliceable.violations
         );
-        let only_fallback = sliced_coverage(&specs(&["bimode:d=2,c=2,h=2"]));
+        let only_fallback = sliced_coverage(&specs(&["tage:t=2,h=8,tag=4,e=4"]));
         assert!(!only_fallback.passed());
         assert!(
             only_fallback.violations[0].contains("sliced engine is unreachable"),
@@ -444,7 +549,7 @@ mod tests {
         ]);
         for spec in &zoo {
             assert!(
-                LaneSpec::of(spec).is_none(),
+                Lane::of(spec).is_none(),
                 "{spec} must fall back to the batch engine"
             );
         }
@@ -455,6 +560,36 @@ mod tests {
             c.traces * zoo.len(),
             "fallbacks contribute no sliced comparisons"
         );
+    }
+
+    #[test]
+    fn coverage_audit_keys_families_by_their_named_policies() {
+        let key = |s: &str| family_and_policies(&s.parse().expect("valid spec"));
+        assert_eq!(key("gshare:s=4,h=2"), "gshare");
+        assert_eq!(key("always-taken"), "always-taken");
+        assert_eq!(key("bimode:d=2,c=2,h=2"), "bimode");
+        assert_eq!(
+            key("bimode:d=2,c=2,h=2,init=uniform,index=skewed"),
+            "bimode[init=uniform,index=skewed]"
+        );
+        // Shared and skewed bi-mode land on different sides, and the
+        // audit accepts it; a width never splits a family.
+        let mixed = sliced_coverage(&specs(&[
+            "bimode:d=2,c=2,h=2",
+            "bimode:d=3,c=1,h=0",
+            "bimode:d=2,c=2,h=2,index=skewed",
+        ]));
+        assert!(mixed.passed(), "{:?}", mixed.violations);
+        assert_eq!((mixed.sliceable, mixed.fallback), (2, 1));
+    }
+
+    #[test]
+    fn bimode_grid_covers_every_shape_and_passes() {
+        let c = check_bimode_grid(3, 3000);
+        assert!(c.passed(), "{:?}", c.violations);
+        // Per trace: 4 policies x 4 choice widths x sum_{d=0..=3}(d + 1).
+        assert_eq!(c.traces, 2);
+        assert_eq!(c.comparisons, 2 * 4 * 4 * 10);
     }
 
     #[test]

@@ -100,11 +100,12 @@ const ENGINE_TRACE_LEN: usize = 3;
 /// histories wrap many times.
 const ENGINE_BOUNDARY_RECORDS: usize = 9_000;
 
-/// Sliced-grid bound: every gshare `(s, m <= s)` pair and every bimodal
+/// Lane-grid bound: every gshare `(s, m <= s)` pair and every bimodal
 /// width with `s` up to this many index bits is proven bit-identical
-/// to the scalar loop.
+/// to the scalar loop, and every bi-mode lane shape with `d` and `c` up
+/// to it to the packed engine's `BiMode`.
 const SLICED_GRID_BITS: u32 = 6;
-/// Record count of the sliced grid's longer probe trace.
+/// Record count of the lane grids' longer probe trace.
 const SLICED_GRID_RECORDS: usize = 5_000;
 
 /// The specs driven through all three execution engines: one
@@ -225,6 +226,13 @@ pub fn verify(root: &Path) -> VerifyReport {
     let grid = engine::check_sliced_grid(SLICED_GRID_BITS, SLICED_GRID_RECORDS);
     let (ok, detail) = first_or(&grid.violations, grid.summary());
     report.record("engine/sliced-grid", ok, detail);
+
+    // Every shared-index bi-mode lane shape up to the grid bound, under
+    // both choice and both init policies, bit-identical to the packed
+    // engine's predictor on the same two traces.
+    let grid = engine::check_bimode_grid(SLICED_GRID_BITS, SLICED_GRID_RECORDS);
+    let (ok, detail) = first_or(&grid.violations, grid.summary());
+    report.record("engine/bimode-grid", ok, detail);
 
     // Static/dynamic control-flow cross-check on the kernel programs.
     let audits = cfa::audit_kernels();

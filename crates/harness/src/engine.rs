@@ -6,11 +6,12 @@
 //! measurement: one [`Rate`] — a configuration, bare or behind a
 //! training wrapper — over one packed trace, stored under one key.
 //! [`cached_rates`] plans each (point, trace) pair as a store job,
-//! serves the hits, and measures the misses: plain gshare-family
-//! points on the sliced engine ([`bpred_analysis::measure_sliced`]),
-//! every other point in one boxed [`bpred_analysis::measure_batch`]
-//! pass per trace, so each trace is streamed once for all of its
-//! fallback points.
+//! serves the hits, and measures the misses: plain gshare-family and
+//! shared-index bi-mode points in byte-balanced lane groups on the lane
+//! engine ([`bpred_analysis::measure_sliced`]), every other point in
+//! one boxed [`bpred_analysis::measure_batch`] pass per trace, so each
+//! trace is streamed once for all of its fallback points. The work
+//! items run longest first.
 //!
 //! Work accounting (branches simulated, configurations driven) is
 //! recorded process-wide by the measurement loops themselves (see
@@ -19,7 +20,7 @@
 //! plumbing of its own.
 
 use bpred_analysis::session::PackedSession;
-use bpred_analysis::sliced::LaneSpec;
+use bpred_analysis::sliced::Lane;
 use bpred_analysis::SiteMisses;
 use bpred_core::{DelayedUpdate, Flushed, Predictor, PredictorSpec};
 use bpred_trace::PackedTrace;
@@ -77,10 +78,10 @@ impl Rate {
         }
     }
 
-    /// The sliced-engine lane, for plain gshare-family points only.
-    fn lane(&self) -> Option<LaneSpec> {
+    /// The lane-engine lane, for plain lane points only.
+    fn lane(&self) -> Option<Lane> {
         match self {
-            Rate::Plain(spec) => LaneSpec::of(spec),
+            Rate::Plain(spec) => Lane::of(spec),
             Rate::Flushed(..) | Rate::Delayed(..) => None,
         }
     }
@@ -102,19 +103,26 @@ impl Rate {
 /// live path evaluates.
 ///
 /// Each (point, trace) pair is one store job. The store is probed in
-/// parallel over traces, and the missing points are split by
-/// [`LaneSpec::of`]:
+/// parallel over traces, and each trace's missing points are split by
+/// [`Lane::of`]:
 ///
-/// - **plain gshare-family** points (bimodal included) are packed into
-///   [`bpred_analysis::MAX_LANES`]-wide lane groups for the sliced
-///   engine, one pass per group;
+/// - **plain lane points** (the gshare family, bimodal included, and
+///   shared-index bi-mode) are dealt into lane groups for the lane
+///   engine, one pass per group: each kind separately, `⌈n/16⌉` groups
+///   of its `n` lanes, largest table first, each lane to the group
+///   holding the fewest table bytes so far (at most
+///   [`bpred_analysis::MAX_LANES`] lanes each), so concurrent groups
+///   hold about equal memory;
 /// - **every other** point — other families, flushed and delayed
 ///   measurements — goes into one boxed batch pass per trace.
 ///
 /// Every (trace, group) pass is one work item sharded across threads
-/// by [`parallel::map`] (bounded by `jobs`), so a grid of many points
-/// parallelises even over a single trace. On a warm store no trace is
-/// streamed.
+/// by [`parallel::map`] (bounded by `jobs`), longest first by its
+/// estimated cost: records × lanes × a per-lane cost of 1 for a gshare
+/// lane, 2 for a bi-mode lane and 8 for a batch predictor, so the
+/// largest groups never start last. A grid of
+/// many points parallelises even over a single trace. On a warm store
+/// no trace is streamed.
 #[must_use]
 pub fn cached_rates(
     traces: &[&PackedTrace],
@@ -122,7 +130,7 @@ pub fn cached_rates(
     points: &[Rate],
 ) -> Vec<Vec<f64>> {
     let job_specs: Vec<JobSpec> = points.iter().map(Rate::job_spec).collect();
-    let lanes: Vec<Option<LaneSpec>> = points.iter().map(Rate::lane).collect();
+    let lanes: Vec<Option<Lane>> = points.iter().map(Rate::lane).collect();
 
     // Probe the store for every point of every trace.
     let mut per_trace: Vec<Vec<Option<f64>>> = parallel::map(traces.to_vec(), jobs, |t| {
@@ -133,42 +141,49 @@ pub fn cached_rates(
             .collect()
     });
 
-    // Group each trace's missing points into work items: lane groups
-    // for the sliced engine, one batch for the rest.
-    struct Item {
-        trace: usize,
-        indices: Vec<usize>,
-        sliced: bool,
-    }
+    // Plan each trace's missing points into work items: lane groups
+    // per kind for the lane engine, one batch for the rest.
     let mut items = Vec::new();
     for (trace, rates) in per_trace.iter().enumerate() {
-        let missing = (0..points.len()).filter(|&i| rates[i].is_none());
-        let (sliceable, fallback): (Vec<usize>, Vec<usize>) =
-            missing.partition(|&i| lanes[i].is_some());
-        for group in sliceable.chunks(bpred_analysis::MAX_LANES) {
-            items.push(Item {
-                trace,
-                indices: group.to_vec(),
-                sliced: true,
-            });
+        let missing: Vec<usize> = (0..points.len()).filter(|&i| rates[i].is_none()).collect();
+        for kind in [Kind::Gshare, Kind::BiMode] {
+            let of_kind: Vec<(usize, Lane)> = missing
+                .iter()
+                .filter_map(|&i| lanes[i].map(|lane| (i, lane)))
+                .filter(|&(_, lane)| Kind::of(lane) == kind)
+                .collect();
+            for indices in balanced_groups(&of_kind) {
+                items.push(Item {
+                    trace,
+                    indices,
+                    kind,
+                });
+            }
         }
+        let fallback: Vec<usize> = missing
+            .into_iter()
+            .filter(|&i| lanes[i].is_none())
+            .collect();
         if !fallback.is_empty() {
             items.push(Item {
                 trace,
                 indices: fallback,
-                sliced: false,
+                kind: Kind::Batch,
             });
         }
     }
+    // Longest first; the sort is stable, so equal costs keep plan order.
+    items.sort_by_key(|item| std::cmp::Reverse(item.cost(traces)));
+
     let measured = parallel::map(items.iter().collect(), jobs, |item: &&Item| {
         let t = traces[item.trace];
-        let results = if item.sliced {
-            let group: Vec<LaneSpec> = item.indices.iter().filter_map(|&i| lanes[i]).collect();
-            bpred_analysis::measure_sliced(t, &group)
-        } else {
+        let results = if item.kind == Kind::Batch {
             let mut batch: Vec<Box<dyn Predictor>> =
                 item.indices.iter().map(|&i| points[i].build()).collect();
             bpred_analysis::measure_batch(t, &mut batch)
+        } else {
+            let group: Vec<Lane> = item.indices.iter().filter_map(|&i| lanes[i]).collect();
+            bpred_analysis::measure_sliced(t, &group)
         };
         for (&i, r) in item.indices.iter().zip(&results) {
             store::insert_run(job_specs[i].job(t.digest()), r);
@@ -176,7 +191,8 @@ pub fn cached_rates(
         results
     });
 
-    // Merge the measured points into the probed grid and transpose.
+    // Merge the measured points into the probed grid by their point
+    // indices, and transpose.
     for (item, results) in items.iter().zip(measured) {
         for (&i, r) in item.indices.iter().zip(&results) {
             per_trace[item.trace][i] = Some(r.misprediction_rate());
@@ -192,10 +208,83 @@ pub fn cached_rates(
     rates
 }
 
+/// Lanes per group the planner aims for: a kind's `n` lanes on one
+/// trace are dealt into `⌈n / GROUP_LANES⌉` groups.
+const GROUP_LANES: usize = 16;
+
+/// The engine a work item runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A group of gshare-family lanes.
+    Gshare,
+    /// A group of shared-index bi-mode lanes.
+    BiMode,
+    /// One boxed batch pass.
+    Batch,
+}
+
+impl Kind {
+    fn of(lane: Lane) -> Kind {
+        match lane {
+            Lane::Gshare(_) => Kind::Gshare,
+            Lane::BiMode(_) => Kind::BiMode,
+        }
+    }
+
+    /// The relative cost of retiring one branch on one lane, from the
+    /// engines' per-lane throughputs: gshare lanes run about twice as
+    /// fast as bi-mode lanes and eight times as fast as boxed batch
+    /// predictors.
+    fn lane_cost(self) -> u64 {
+        match self {
+            Kind::Gshare => 1,
+            Kind::BiMode => 2,
+            Kind::Batch => 8,
+        }
+    }
+}
+
+/// One planned pass: some of one trace's points, on one engine.
+struct Item {
+    trace: usize,
+    indices: Vec<usize>,
+    kind: Kind,
+}
+
+impl Item {
+    /// Estimated cost: records × lanes × the kind's per-lane cost.
+    fn cost(&self, traces: &[&PackedTrace]) -> u64 {
+        traces[self.trace].len() as u64 * self.indices.len() as u64 * self.kind.lane_cost()
+    }
+}
+
+/// Deals `lanes` (point index, lane) into `⌈n / GROUP_LANES⌉` groups of
+/// point indices: largest table first, each to the group holding the
+/// fewest table bytes so far among those with room, so the groups hold
+/// about equal bytes.
+fn balanced_groups(lanes: &[(usize, Lane)]) -> Vec<Vec<usize>> {
+    let mut by_size = lanes.to_vec();
+    by_size.sort_by_key(|&(_, lane)| std::cmp::Reverse(lane.table_bytes()));
+    let mut groups: Vec<(u64, Vec<usize>)> =
+        vec![(0, Vec::new()); lanes.len().div_ceil(GROUP_LANES)];
+    for (i, lane) in by_size {
+        if let Some(group) = groups
+            .iter_mut()
+            .filter(|(_, indices)| indices.len() < bpred_analysis::MAX_LANES)
+            .min_by_key(|(bytes, _)| *bytes)
+        {
+            group.0 += lane.table_bytes();
+            group.1.push(i);
+        }
+    }
+    groups.into_iter().map(|(_, indices)| indices).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bpred_analysis::metrics::{engine_snapshot, Engine};
+    use bpred_analysis::LaneSpec;
     use bpred_analysis::{measure, measure_with_flushes};
     use bpred_trace::{BranchRecord, Trace};
 
@@ -325,6 +414,77 @@ mod tests {
             let stored = store::lookup_run(JobSpec::rate(s).job(p.digest()));
             assert_eq!(stored.map(|r| r.misprediction_rate()), Some(rate[0]), "{s}");
         }
+    }
+
+    #[test]
+    fn bimode_ablation_shapes_ride_lanes_and_skewed_falls_back() {
+        // The ablations' bi-mode shapes (always-choice, uniform init,
+        // a choice table narrower and wider than the banks) beside a
+        // skewed bi-mode fallback and a gshare point, in one call.
+        let t = trace(0xB1B0 ^ u64::from(std::process::id()), 5000);
+        let p = PackedTrace::build(&t).unwrap();
+        let points: Vec<Rate> = [
+            "bimode:d=6,choice=always",
+            "bimode:d=6,init=uniform",
+            "bimode:d=7,c=5,h=7",
+            "bimode:d=5,c=8,h=3,choice=always,init=uniform",
+            "bimode:d=6,index=skewed",
+            "gshare:s=7,h=4",
+        ]
+        .into_iter()
+        .map(|s| Rate::Plain(spec(s)))
+        .collect();
+        let laned = points.iter().filter(|p| p.lane().is_some()).count();
+        assert_eq!(laned, 5, "only the skewed point falls back");
+        let want: Vec<Vec<f64>> = points.iter().map(|p| vec![reference(&t, p)]).collect();
+        assert_eq!(cached_rates(&[&p], Some(2), &points), want);
+    }
+
+    #[test]
+    fn groups_balance_table_bytes_and_respect_the_lane_bound() {
+        // 116 Figure 2 candidates: 8 groups, each within a few percent
+        // of the mean table bytes.
+        let lanes: Vec<(usize, Lane)> = crate::search::candidates(&(10..=17).collect::<Vec<_>>())
+            .into_iter()
+            .enumerate()
+            .map(|(i, (table_bits, history_bits))| {
+                let spec = PredictorSpec::Gshare {
+                    table_bits,
+                    history_bits,
+                };
+                (i, Lane::of(&spec).expect("gshare is a lane"))
+            })
+            .collect();
+        let groups = balanced_groups(&lanes);
+        assert_eq!(groups.len(), 8);
+        let bytes: Vec<u64> = groups
+            .iter()
+            .map(|g| g.iter().map(|&i| lanes[i].1.table_bytes()).sum())
+            .collect();
+        let mean = bytes.iter().sum::<u64>() / 8;
+        assert!(
+            bytes.iter().all(|&b| b.abs_diff(mean) * 10 <= mean),
+            "{bytes:?}"
+        );
+        let mut all: Vec<usize> = groups.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..lanes.len()).collect::<Vec<_>>(), "every lane once");
+        // Many tiny lanes beside a few huge ones never overfill a group.
+        let skewed: Vec<(usize, Lane)> = (0..80)
+            .map(|i| {
+                let table_bits = if i < 4 { 20 } else { 0 };
+                (
+                    i,
+                    Lane::Gshare(LaneSpec {
+                        table_bits,
+                        history_bits: 0,
+                    }),
+                )
+            })
+            .collect();
+        assert!(balanced_groups(&skewed)
+            .iter()
+            .all(|g| g.len() <= bpred_analysis::MAX_LANES));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use bpred_workloads::Suite;
 use crate::engine::{self, Rate};
 use crate::experiments::pct;
 use crate::format::{Report, Table};
-use crate::search::best_gshare;
+use crate::search::{best_gshare, BestGshare};
 use crate::store::{self, JobSpec};
 use crate::traces::TraceSet;
 
@@ -27,6 +27,15 @@ fn alias_of(trace: &PackedTrace, spec: &PredictorSpec) -> AliasReport {
     store::cached_alias(JobSpec::alias(spec).job(trace.digest()), || {
         AliasReport::measure(trace, || spec.build())
     })
+}
+
+/// The suite-average rate of the `gshare.best` winner with a `2^s`
+/// table, looked up by its size.
+fn best_at(best: &[BestGshare], table_bits: u32) -> f64 {
+    best.iter()
+        .find(|b| b.table_bits == table_bits)
+        .map(|b| b.average_rate)
+        .expect("the summary searches every size its claims read") // panic-audited: `sizes` lists d + 1 for every checked d, and 17
 }
 
 struct Scoreboard {
@@ -85,13 +94,8 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
     // and at 32 KB: one search per suite.
     let ds = [9u32, 11, 13];
     let sizes: Vec<u32> = ds.iter().map(|d| d + 1).chain([17]).collect();
-    let suites = [("SPEC", &spec), ("IBS", &ibs)].map(|(name, traces)| {
-        let best: Vec<f64> = best_gshare(traces, &sizes, jobs)
-            .iter()
-            .map(|b| b.average_rate)
-            .collect();
-        (name, traces, best)
-    });
+    let suites = [("SPEC", &spec), ("IBS", &ibs)]
+        .map(|(name, traces)| (name, traces, best_gshare(traces, &sizes, jobs)));
 
     // -- Figure 2: bi-mode vs the next-smaller best gshare, per suite --
     for (suite_name, traces, best) in &suites {
@@ -99,8 +103,9 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
         let mut detail = Vec::new();
         let points: Vec<Rate> = ds.iter().map(|&d| bimode(d)).collect();
         let rates = engine::cached_rates(traces, jobs, &points);
-        for ((&d, rates), &gs) in ds.iter().zip(&rates).zip(best) {
+        for (&d, rates) in ds.iter().zip(&rates) {
             let bm = engine::average(rates);
+            let gs = best_at(best, d + 1);
             wins += usize::from(bm <= gs * 1.01);
             detail.push(format!("d={d}: {} vs {}", pct(bm), pct(gs)));
         }
@@ -114,7 +119,7 @@ pub fn summary(set: &TraceSet, jobs: Option<usize>) -> Report {
     // -- Figure 2: the half-the-size-at-4KB+ claim --
     for (suite_name, traces, best) in &suites {
         let bm12 = engine::average(&engine::cached_rates(traces, jobs, &[bimode(14)])[0]);
-        let gs32 = best[ds.len()];
+        let gs32 = best_at(best, 17);
         board.check(
             &format!("Fig 2 ({suite_name}): bi-mode@12KB beats gshare.best@32KB"),
             format!("{} vs {}", pct(bm12), pct(gs32)),
@@ -273,5 +278,47 @@ mod tests {
             reproduced * 10 >= table.len() * 7,
             "at least 70% of claims should reproduce even at smoke scale: {csv}"
         );
+    }
+
+    #[test]
+    fn fig2_claims_read_gshare_best_at_their_sizes() {
+        let mut workloads = Workload::suite_workloads(Suite::SpecInt95);
+        workloads.extend(Workload::suite_workloads(Suite::IbsUltrix));
+        let set = TraceSet::of(workloads, Scale::Smoke, None);
+        let report = summary(&set, None);
+        let table = &report.sections[0].1;
+        let csv = table.to_csv();
+        // The measured column of the row whose claim starts `claim`.
+        let measured = |claim: &str| -> String {
+            let row = csv
+                .lines()
+                .find(|line| line.starts_with(claim))
+                .unwrap_or_else(|| panic!("no `{claim}` row in {csv}"));
+            row[claim.len()..]
+                .split(',')
+                .nth(1)
+                .unwrap_or_else(|| panic!("no measured column in `{row}`"))
+                .to_owned()
+        };
+        for (name, suite) in [("SPEC", Suite::SpecInt95), ("IBS", Suite::IbsUltrix)] {
+            let traces: Vec<&PackedTrace> = set.suite(suite).map(|(_, t)| t).collect();
+            let best = |s: u32| pct(best_gshare(&traces, &[s], None)[0].average_rate);
+            // "bi-mode@12KB beats gshare.best@32KB" reads the 2^17 winner.
+            let half = measured(&format!("Fig 2 ({name}): bi-mode@12KB"));
+            assert!(
+                half.ends_with(&format!(" vs {}", best(17))),
+                "{name}: {half}"
+            );
+            // Each next-smaller claim at d reads the 2^(d+1) winner.
+            let next = measured(&format!("Fig 2 ({name}): bi-mode <= next-smaller"));
+            for (detail, d) in next.split("; ").zip([9u32, 11, 13]) {
+                assert!(
+                    detail.starts_with(&format!("d={d}: "))
+                        && detail.ends_with(&format!(" vs {}", best(d + 1))),
+                    "{name}: `{detail}` must compare against gshare.best at 2^{}",
+                    d + 1
+                );
+            }
+        }
     }
 }

@@ -8,11 +8,14 @@
 //! In the reproduction's gshare model a configuration at table size
 //! `2^s` is fully described by the history length `m <= s` (the
 //! remaining `s - m` index bits are address bits), so the pairwise grid
-//! collapses to a sweep over `m`. [`best_gshare`] searches any number
-//! of table sizes at once: every candidate of every size goes through
-//! one [`engine::cached_rates`] call, so the sliced engine packs them
-//! into shared lane groups instead of walking each trace once per size.
-//! Figure 2's `gshare.best` curve and the summary's claims both use it.
+//! collapses to a sweep over `m`. The search is two halves: the
+//! [`candidates`] of any number of table sizes, and the [`pick`] of
+//! each size's winner from their rates. [`best_gshare`] measures the
+//! candidates in one [`engine::cached_rates`] call, so the lane engine
+//! packs them into shared lane groups instead of walking each trace
+//! once per size; the summary's claims use it. Figure 2's sweep
+//! ([`crate::sweep::sweep_all`]) measures the same candidates in its
+//! one call beside the bi-mode points and picks from those rates.
 
 use bpred_core::PredictorSpec;
 use bpred_trace::PackedTrace;
@@ -34,53 +37,77 @@ pub struct BestGshare {
     pub curve: Vec<(u32, f64)>,
 }
 
-/// Exhaustively searches `m in 0..=s` for the best suite-average
-/// gshare at each table size `2^s` of `sizes`, returning one
+/// The search's candidates at each table size of `sizes`, in size
+/// then history order: `(s, m)` for every `m in 0..=s`.
+#[must_use]
+pub fn candidates(sizes: &[u32]) -> Vec<(u32, u32)> {
+    sizes
+        .iter()
+        .flat_map(|&table_bits| {
+            (0..=table_bits).map(move |history_bits| (table_bits, history_bits))
+        })
+        .collect()
+}
+
+/// The plain gshare rate point of one candidate.
+#[must_use]
+pub fn candidate_rate((table_bits, history_bits): (u32, u32)) -> Rate {
+    Rate::Plain(PredictorSpec::Gshare {
+        table_bits,
+        history_bits,
+    })
+}
+
+/// Picks each size's winner from `rates`, one per-trace rate vector per
+/// entry of [`candidates`]`(sizes)`, in that order, returning one
 /// [`BestGshare`] per size, in the order given.
-///
-/// All candidates of all sizes go through one [`engine::cached_rates`]
-/// call, in size then history order, so they ride the sliced engine in
-/// 64-wide lane groups, one pass per (trace, group); `jobs` bounds the
-/// parallelism over the flattened work items.
 ///
 /// Ties go to the shortest history: of the candidates with equal
 /// suite-average rates, the one with the smallest `m` wins.
+///
+/// # Panics
+///
+/// Panics if `rates` holds fewer entries than the candidates.
 #[must_use]
-pub fn best_gshare(traces: &[&PackedTrace], sizes: &[u32], jobs: Option<usize>) -> Vec<BestGshare> {
-    let points: Vec<Rate> = sizes
-        .iter()
-        .flat_map(|&table_bits| {
-            (0..=table_bits).map(move |history_bits| {
-                Rate::Plain(PredictorSpec::Gshare {
-                    table_bits,
-                    history_bits,
-                })
-            })
-        })
-        .collect();
-    let mut rates = engine::cached_rates(traces, jobs, &points).into_iter();
+pub fn pick(sizes: &[u32], rates: &[Vec<f64>]) -> Vec<BestGshare> {
+    let mut rates = rates.iter();
     sizes
         .iter()
         .map(|&table_bits| {
-            let results: Vec<(u32, f64, Vec<f64>)> = (0..=table_bits)
+            let results: Vec<(u32, f64, &Vec<f64>)> = (0..=table_bits)
                 .zip(rates.by_ref())
-                .map(|(m, rates)| (m, engine::average(&rates), rates))
+                .map(|(m, rates)| (m, engine::average(rates), rates))
                 .collect();
             let curve: Vec<(u32, f64)> = results.iter().map(|(m, avg, _)| (*m, *avg)).collect();
             // `min_by` keeps the first of equal minima: the shortest history.
             let (history_bits, average_rate, per_workload) = results
                 .into_iter()
                 .min_by(|a, b| a.1.partial_cmp(&b.1).expect("rates are finite")) // panic-audited: misprediction rates are finite ratios, never NaN
-                .expect("at least one candidate"); // panic-audited: the history-length candidate range 0..=s is never empty
+                .expect("one rate vector per candidate"); // panic-audited: documented panic; every caller passes the rates of candidates(sizes)
             BestGshare {
                 table_bits,
                 history_bits,
                 average_rate,
-                per_workload,
+                per_workload: per_workload.clone(),
                 curve,
             }
         })
         .collect()
+}
+
+/// Exhaustively searches `m in 0..=s` for the best suite-average
+/// gshare at each table size `2^s` of `sizes`, returning one
+/// [`BestGshare`] per size, in the order given: the [`pick`] over the
+/// rates of the [`candidates`].
+///
+/// All candidates of all sizes go through one [`engine::cached_rates`]
+/// call, so they ride the lane engine in shared lane groups, one pass
+/// per (trace, group); `jobs` bounds the parallelism over the
+/// flattened work items.
+#[must_use]
+pub fn best_gshare(traces: &[&PackedTrace], sizes: &[u32], jobs: Option<usize>) -> Vec<BestGshare> {
+    let points: Vec<Rate> = candidates(sizes).into_iter().map(candidate_rate).collect();
+    pick(sizes, &engine::cached_rates(traces, jobs, &points))
 }
 
 #[cfg(test)]

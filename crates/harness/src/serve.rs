@@ -74,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use bpred_analysis::metrics::{self, EngineSnapshot};
 use bpred_analysis::session::{PackedSession, SlicedSession};
-use bpred_analysis::sliced::LaneSpec;
+use bpred_analysis::sliced::Lane;
 use bpred_analysis::RunResult;
 use bpred_core::{Predictor, PredictorSpec};
 use bpred_trace::{
@@ -296,9 +296,10 @@ enum Request {
     Cancel { tenant: u64 },
 }
 
-/// The engine half of a tenant stream: a single-lane sliced session
-/// for the gshare family, a boxed packed session for everything else —
-/// the same [`LaneSpec::of`] dispatch the sweep path uses.
+/// The engine half of a tenant stream: a single-lane session for the
+/// gshare family and shared-index bi-mode, a boxed packed session for
+/// everything else — the same [`Lane::of`] dispatch the sweep path
+/// uses.
 #[derive(Debug)]
 enum TenantEngine {
     Sliced(SlicedSession),
@@ -307,7 +308,7 @@ enum TenantEngine {
 
 impl TenantEngine {
     fn of(spec: &PredictorSpec) -> TenantEngine {
-        match LaneSpec::of(spec) {
+        match Lane::of(spec) {
             Some(lane) => TenantEngine::Sliced(SlicedSession::new(&[lane])),
             None => TenantEngine::Packed(PackedSession::<_, dyn Predictor>::new(spec.build())),
         }

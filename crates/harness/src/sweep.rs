@@ -6,12 +6,14 @@
 //! an equal-size choice table), reproducing the staggered positions of
 //! the paper's plots.
 //!
-//! Every scheme's whole ladder rides one [`engine::cached_rates`] call:
-//! gshare-family ladders are packed into 64-lane groups for the sliced
-//! engine, bi-mode falls back to one batch pass per trace, and every
-//! (trace, group) pass is sharded across threads. `gshare.best` is
-//! [`search::best_gshare`] over the whole ladder, so its 116 `(s, m)`
-//! candidates share that one call. Work accounting is global (see
+//! [`sweep_all`] measures all three curves with one
+//! [`engine::cached_rates`] call per trace set: the 116 `(s, m)`
+//! [`search::candidates`] of the gshare ladder plus the 8 bi-mode
+//! points. Every `gshare.1PHT` point is the `m = s` candidate, so both
+//! gshare curves come from that one rate matrix, and `gshare.best` is
+//! [`search::pick`] over it. Both kinds ride the lane engine, in lane
+//! groups the front door balances by table bytes and runs longest
+//! first across threads. Work accounting is global (see
 //! [`crate::observe`]); the sweeps return points only.
 
 use bpred_core::{BiMode, BiModeConfig, Gshare, Predictor, PredictorSpec};
@@ -80,70 +82,47 @@ fn point(scheme: Scheme, p: &dyn Predictor, rates: Vec<f64>) -> SweepPoint {
     }
 }
 
-/// Sweeps one scheme across its size ladder in one batched pass per
-/// trace. `jobs` bounds the parallelism over traces.
-#[must_use]
-pub fn sweep_scheme(
-    traces: &[&PackedTrace],
-    scheme: Scheme,
-    jobs: Option<usize>,
-) -> Vec<SweepPoint> {
-    match scheme {
-        Scheme::GshareSinglePht => {
-            let sizes: Vec<u32> = GSHARE_SIZES.collect();
-            let points: Vec<Rate> = sizes
-                .iter()
-                .map(|&s| PredictorSpec::Gshare {
-                    table_bits: s,
-                    history_bits: s,
-                })
-                .map(Rate::Plain)
-                .collect();
-            let rates = engine::cached_rates(traces, jobs, &points);
-            sizes
-                .iter()
-                .zip(rates)
-                .map(|(&s, rates)| point(scheme, &Gshare::single_pht(s), rates))
-                .collect()
-        }
-        Scheme::GshareBest => {
-            let sizes: Vec<u32> = GSHARE_SIZES.collect();
-            search::best_gshare(traces, &sizes, jobs)
-                .into_iter()
-                .map(|best| {
-                    let winner = Gshare::new(best.table_bits, best.history_bits);
-                    point(scheme, &winner, best.per_workload)
-                })
-                .collect()
-        }
-        Scheme::BiMode => {
-            // Not sliceable (cross-bank choice update): rides the
-            // front door's batch fallback.
-            let sizes: Vec<u32> = BIMODE_SIZES.collect();
-            let points: Vec<Rate> = sizes
-                .iter()
-                .map(|&d| Rate::Plain(PredictorSpec::BiMode(BiModeConfig::paper_default(d))))
-                .collect();
-            let rates = engine::cached_rates(traces, jobs, &points);
-            sizes
-                .iter()
-                .zip(rates)
-                .map(|(&d, rates)| {
-                    point(scheme, &BiMode::new(BiModeConfig::paper_default(d)), rates)
-                })
-                .collect()
-        }
-    }
-}
-
-/// Sweeps all three schemes (the full Figure 2/3/4 data set).
+/// Sweeps all three schemes (the full Figure 2/3/4 data set) in one
+/// rate call: the `gshare.1PHT` ladder, then `gshare.best`, then
+/// bi-mode, each in ladder order. `jobs` bounds the parallelism over
+/// the call's work items.
 #[must_use]
 pub fn sweep_all(traces: &[&PackedTrace], jobs: Option<usize>) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for scheme in [Scheme::GshareSinglePht, Scheme::GshareBest, Scheme::BiMode] {
-        points.extend(sweep_scheme(traces, scheme, jobs));
-    }
-    points
+    let sizes: Vec<u32> = GSHARE_SIZES.collect();
+    let candidates = search::candidates(&sizes);
+    let bimode: Vec<BiModeConfig> = BIMODE_SIZES.map(BiModeConfig::paper_default).collect();
+    let points: Vec<Rate> = candidates
+        .iter()
+        .map(|&candidate| search::candidate_rate(candidate))
+        .chain(
+            bimode
+                .iter()
+                .map(|&config| Rate::Plain(PredictorSpec::BiMode(config))),
+        )
+        .collect();
+    let mut rates = engine::cached_rates(traces, jobs, &points);
+    let bimode_rates = rates.split_off(candidates.len());
+
+    let single_pht = candidates
+        .iter()
+        .zip(&rates)
+        .filter(|((s, m), _)| s == m)
+        .map(|(&(s, _), rates)| {
+            point(
+                Scheme::GshareSinglePht,
+                &Gshare::single_pht(s),
+                rates.clone(),
+            )
+        });
+    let best = search::pick(&sizes, &rates).into_iter().map(|best| {
+        let winner = Gshare::new(best.table_bits, best.history_bits);
+        point(Scheme::GshareBest, &winner, best.per_workload)
+    });
+    let bimode = bimode
+        .into_iter()
+        .zip(bimode_rates)
+        .map(|(config, rates)| point(Scheme::BiMode, &BiMode::new(config), rates));
+    single_pht.chain(best).chain(bimode).collect()
 }
 
 #[cfg(test)]
@@ -166,23 +145,30 @@ mod tests {
         PackedTrace::build(&small_trace()).expect("small site table")
     }
 
+    fn curve(points: &[SweepPoint], scheme: Scheme) -> Vec<&SweepPoint> {
+        points.iter().filter(|p| p.scheme == scheme).collect()
+    }
+
     #[test]
     fn ladders_hit_the_papers_cost_points() {
         let t = packed();
-        let single = sweep_scheme(&[&t], Scheme::GshareSinglePht, Some(2));
-        let kibs: Vec<f64> = single.iter().map(|p| p.kib).collect();
+        let all = sweep_all(&[&t], Some(2));
+        let kibs: Vec<f64> = curve(&all, Scheme::GshareSinglePht)
+            .iter()
+            .map(|p| p.kib)
+            .collect();
         assert_eq!(kibs, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
 
-        let bimode = sweep_scheme(&[&t], Scheme::BiMode, Some(2));
-        let kibs: Vec<f64> = bimode.iter().map(|p| p.kib).collect();
+        let kibs: Vec<f64> = curve(&all, Scheme::BiMode).iter().map(|p| p.kib).collect();
         assert_eq!(kibs, [0.375, 0.75, 1.5, 3.0, 6.0, 12.0, 24.0, 48.0]);
     }
 
     #[test]
     fn best_is_never_worse_than_single_pht_on_average() {
         let t = packed();
-        let single = sweep_scheme(&[&t], Scheme::GshareSinglePht, Some(2));
-        let best = sweep_scheme(&[&t], Scheme::GshareBest, Some(2));
+        let all = sweep_all(&[&t], Some(2));
+        let single = curve(&all, Scheme::GshareSinglePht);
+        let best = curve(&all, Scheme::GshareBest);
         for (s, b) in single.iter().zip(&best) {
             assert!(
                 b.average_rate() <= s.average_rate() + 1e-12,
@@ -199,9 +185,13 @@ mod tests {
         let t = packed();
         let sizes: Vec<u32> = GSHARE_SIZES.collect();
         let fused = search::best_gshare(&[&t], &sizes, Some(2));
-        let best = sweep_scheme(&[&t], Scheme::GshareBest, Some(2));
+        let all = sweep_all(&[&t], Some(2));
+        let best = curve(&all, Scheme::GshareBest);
+        let single_pht = curve(&all, Scheme::GshareSinglePht);
         assert_eq!((fused.len(), best.len()), (sizes.len(), sizes.len()));
-        for ((point, multi), s) in best.iter().zip(&fused).zip(GSHARE_SIZES) {
+        for (((point, multi), one_pht), s) in
+            best.iter().zip(&fused).zip(&single_pht).zip(GSHARE_SIZES)
+        {
             let single = search::best_gshare(&[&t], &[s], Some(2)).remove(0);
             assert_eq!(multi.table_bits, s);
             assert_eq!(multi.history_bits, single.history_bits, "size {s}");
@@ -209,6 +199,11 @@ mod tests {
             assert_eq!(multi.curve, single.curve, "size {s}");
             assert_eq!(point.config, Gshare::new(s, single.history_bits).name());
             assert_eq!(point.rates, single.per_workload, "size {s}");
+            // The 1PHT point is the search's m = s candidate.
+            let (m, rate) = *single.curve.last().expect("m = s is a candidate");
+            assert_eq!(m, s);
+            assert_eq!(one_pht.config, Gshare::single_pht(s).name());
+            assert_eq!(one_pht.average_rate(), rate, "size {s}");
         }
     }
 
@@ -222,17 +217,18 @@ mod tests {
         for scheme in [Scheme::GshareSinglePht, Scheme::GshareBest, Scheme::BiMode] {
             assert_eq!(all.iter().filter(|p| p.scheme == scheme).count(), 8);
         }
-        // 8 single-PHT + 116 best candidates + 8 bi-mode configurations
-        // over one trace: every point is either driven (recorded as a
-        // config drive) or served from the result store (recorded as a
-        // hit) — other tests may add more concurrently, and earlier
-        // runs sharing the on-disk store may have warmed any subset.
+        // 116 best candidates (the 8 single-PHT points among them) + 8
+        // bi-mode configurations over one trace: every point is either
+        // driven (recorded as a config drive) or served from the result
+        // store (recorded as a hit) — other tests may add more
+        // concurrently, and earlier runs sharing the on-disk store may
+        // have warmed any subset.
         let drives = bpred_analysis::metrics::engine_snapshot()
             .since(&drive_before)
             .total();
         let store = crate::store::counters().since(&store_before);
         assert!(
-            drives.lanes + store.hits >= 8 + 116 + 8,
+            drives.lanes + store.hits >= 116 + 8,
             "got {drives:?} + {store:?}"
         );
     }
