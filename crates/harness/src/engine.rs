@@ -120,9 +120,8 @@ impl Rate {
 /// by [`parallel::map`] (bounded by `jobs`), longest first by its
 /// estimated cost: records × lanes × a per-lane cost of 1 for a gshare
 /// lane, 2 for a bi-mode lane and 8 for a batch predictor, so the
-/// largest groups never start last. A grid of
-/// many points parallelises even over a single trace. On a warm store
-/// no trace is streamed.
+/// largest groups never start last. A grid of many points parallelises
+/// even over a single trace. On a warm store no trace is streamed.
 #[must_use]
 pub fn cached_rates(
     traces: &[&PackedTrace],
