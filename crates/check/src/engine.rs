@@ -375,10 +375,10 @@ pub fn check_sliced_grid(max_table_bits: u32, boundary_records: usize) -> Engine
     check
 }
 
-/// A spec's grammar name plus its named (non-numeric) options: the
-/// key the coverage audit holds sliceability constant over. Widths
-/// (`s`, `h`, `d`, …) never decide the engine; a policy like
-/// `index=skewed` may.
+/// A spec's grammar name plus its named options (those whose value is
+/// a word, like `index=skewed`): the key the coverage audit holds
+/// sliceability constant over. Widths (`s`, `h`, `d`, …) never decide
+/// the engine; a named policy may.
 fn family_and_policies(spec: &PredictorSpec) -> String {
     let rendered = spec.to_string();
     let Some((name, options)) = rendered.split_once(':') else {
@@ -387,9 +387,9 @@ fn family_and_policies(spec: &PredictorSpec) -> String {
     let policies: Vec<&str> = options
         .split(',')
         .filter(|option| {
-            option
-                .split_once('=')
-                .is_some_and(|(_, value)| value.parse::<u64>().is_err())
+            option.split_once('=').is_some_and(|(_, value)| {
+                !value.is_empty() && value.bytes().all(|b| b.is_ascii_alphabetic())
+            })
         })
         .collect();
     if policies.is_empty() {
@@ -568,6 +568,7 @@ mod tests {
         assert_eq!(key("gshare:s=4,h=2"), "gshare");
         assert_eq!(key("always-taken"), "always-taken");
         assert_eq!(key("bimode:d=2,c=2,h=2"), "bimode");
+        assert_eq!(key("cascade:bimodal:s=4;gshare:s=5,h=5"), "cascade");
         assert_eq!(
             key("bimode:d=2,c=2,h=2,init=uniform,index=skewed"),
             "bimode[init=uniform,index=skewed]"
